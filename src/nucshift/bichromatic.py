@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .shift_coefficients import (
-    POLE_EPSILON,
     CoeffForm,
     ComplexDetuning,
     PoleProximityError,
     PolarizabilitySet,
+    _check_real_poles,
     b_coefficients,
 )
 from .hyperfine import hf_energies
@@ -50,30 +50,43 @@ class BichromaticSpec:
             raise ValueError("gamma_bar must be non-negative")
 
 
-def _guard_poles(spin: HalfInteger, gamma: float, delta_bar: float) -> None:
+def _b_pair(spin, gamma: float, delta_alpha: float, delta_beta: float,
+            gamma_bar: float) -> tuple[PolarizabilitySet, PolarizabilitySet]:
     # real-part distance: the scan must flag on-pole rows even with losses on
-    en = hf_energies(spin, gamma)
-    for e in en.as_tuple():
-        if abs(delta_bar - e) <= POLE_EPSILON:
-            raise PoleProximityError(
-                f"detuning {delta_bar} within {POLE_EPSILON} of hyperfine pole at {e}"
-            )
-
-
-def combined_coefficients(spec: BichromaticSpec, spin, gamma: float) -> PolarizabilitySet:
-    """Intensity-weighted sum of the b coefficients of the two fields."""
     spin = HalfInteger.coerce(spin)
-    _guard_poles(spin, gamma, spec.delta_alpha)
-    _guard_poles(spin, gamma, spec.delta_beta)
-    b_alpha = b_coefficients(spin, gamma, ComplexDetuning.of(spec.delta_alpha, spec.gamma_bar))
-    b_beta = b_coefficients(spin, gamma, ComplexDetuning.of(spec.delta_beta, spec.gamma_bar))
-    wa, wb = spec.weight_alpha, spec.weight_beta
+    en = hf_energies(spin, gamma)
+    _check_real_poles(delta_alpha, en)
+    _check_real_poles(delta_beta, en)
+    return (b_coefficients(spin, gamma, ComplexDetuning.of(delta_alpha, gamma_bar)),
+            b_coefficients(spin, gamma, ComplexDetuning.of(delta_beta, gamma_bar)))
+
+
+def _cancelling_weights(b_alpha: PolarizabilitySet,
+                        b_beta: PolarizabilitySet) -> tuple[float, float]:
+    b2_alpha = b_alpha.c2.real
+    b2_beta = b_beta.c2.real
+    if b2_alpha == 0.0 or b2_beta == 0.0 or (b2_alpha > 0) == (b2_beta > 0):
+        raise CancellationInfeasibleError(
+            f"Re b2 values {b2_alpha} and {b2_beta} do not have opposite signs"
+        )
+    w_alpha = abs(b2_beta) / (abs(b2_alpha) + abs(b2_beta))
+    return w_alpha, 1.0 - w_alpha
+
+
+def _weighted_sum(wa: float, wb: float, b_alpha: PolarizabilitySet,
+                  b_beta: PolarizabilitySet) -> PolarizabilitySet:
     return PolarizabilitySet(
         form=CoeffForm.B_FORM,
         c0=wa * b_alpha.c0 + wb * b_beta.c0,
         c1=wa * b_alpha.c1 + wb * b_beta.c1,
         c2=wa * b_alpha.c2 + wb * b_beta.c2,
     )
+
+
+def combined_coefficients(spec: BichromaticSpec, spin, gamma: float) -> PolarizabilitySet:
+    """Intensity-weighted sum of the b coefficients of the two fields."""
+    b_alpha, b_beta = _b_pair(spin, gamma, spec.delta_alpha, spec.delta_beta, spec.gamma_bar)
+    return _weighted_sum(spec.weight_alpha, spec.weight_beta, b_alpha, b_beta)
 
 
 def solve_tensor_cancellation(delta_alpha: float, delta_beta: float, spin, gamma: float,
@@ -83,17 +96,7 @@ def solve_tensor_cancellation(delta_alpha: float, delta_beta: float, spin, gamma
     Requires Re b2 at the two detunings to have opposite signs; otherwise the
     cancellation is impossible and CancellationInfeasibleError is raised.
     """
-    spin = HalfInteger.coerce(spin)
-    _guard_poles(spin, gamma, delta_alpha)
-    _guard_poles(spin, gamma, delta_beta)
-    b2_alpha = b_coefficients(spin, gamma, ComplexDetuning.of(delta_alpha, gamma_bar)).c2.real
-    b2_beta = b_coefficients(spin, gamma, ComplexDetuning.of(delta_beta, gamma_bar)).c2.real
-    if b2_alpha == 0.0 or b2_beta == 0.0 or (b2_alpha > 0) == (b2_beta > 0):
-        raise CancellationInfeasibleError(
-            f"Re b2 values {b2_alpha} and {b2_beta} do not have opposite signs"
-        )
-    w_alpha = abs(b2_beta) / (abs(b2_alpha) + abs(b2_beta))
-    return w_alpha, 1.0 - w_alpha
+    return _cancelling_weights(*_b_pair(spin, gamma, delta_alpha, delta_beta, gamma_bar))
 
 
 @dataclass(frozen=True)
@@ -127,15 +130,15 @@ def merit_scan(spin, gamma: float, gamma_bar: float, delta_grid) -> list[MeritRo
         d_alpha = e_mid + delta_small
         d_beta = e_mid - delta_small
         try:
-            w_alpha, w_beta = solve_tensor_cancellation(d_alpha, d_beta, spin, gamma, gamma_bar)
+            b_alpha, b_beta = _b_pair(spin, gamma, d_alpha, d_beta, gamma_bar)
+            w_alpha, w_beta = _cancelling_weights(b_alpha, b_beta)
         except PoleProximityError:
             rows.append(MeritRow(delta_small, nan, nan, nan, nan, "pole"))
             continue
         except CancellationInfeasibleError:
             rows.append(MeritRow(delta_small, nan, nan, nan, nan, "same-sign"))
             continue
-        spec = BichromaticSpec(d_alpha, d_beta, w_alpha, w_beta, gamma_bar)
-        combined = combined_coefficients(spec, spin, gamma)
+        combined = _weighted_sum(w_alpha, w_beta, b_alpha, b_beta)
         re_b1 = combined.c1.real
         im_b0 = combined.c0.imag
         if im_b0 != 0.0:

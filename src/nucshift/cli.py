@@ -7,17 +7,20 @@ converted to angular frequencies once at parse time.  All emitted data files
 are byte-deterministic: fixed headers, fixed ordering, floats rendered with 17
 significant digits.
 
-Exit codes: 0 success, 1 oracle-diff threshold failure, 2 configuration error,
+Exit codes: 0 success, 1 oracle-diff threshold failure or I/O error, 2 input
+error (every one, non-finite numbers included, with one JSON line on stderr),
 3 numeric-domain error (pole proximity), 4 infeasible tensor cancellation.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -48,7 +51,7 @@ from .shift_coefficients import (
     b_coefficients,
     offpole_grid,
 )
-from .spin_algebra import HalfInteger, make_spin_operators
+from .spin_algebra import DEFAULT_MAX_DIMENSION, HalfInteger, make_spin_operators
 
 TWO_PI = 2.0 * math.pi
 ORACLE_DIFF_THRESHOLD = 1e-10
@@ -68,49 +71,6 @@ def _sr87() -> AtomParams:
 
 
 ATOM_PRESETS = {"sr87": _sr87}
-
-
-@dataclass
-class FieldSpec:
-    """Raw [field] section values before they become a concrete geometry."""
-
-    kind: Optional[str] = None
-    amplitude: float = 1.0
-    wavenumber: float = 1.0
-    handedness: int = +1
-    delta_omega: float = 0.0
-    e: Optional[tuple[complex, complex, complex]] = None
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    time: float = 0.0
-
-
-@dataclass
-class RunConfig:
-    """Validated key/value configuration for one CLI run."""
-
-    atom: Optional[str] = None
-    spin_twice: Optional[int] = None
-    ahf_prime_khz_over_2pi: Optional[float] = None
-    bhf_khz_over_2pi: Optional[float] = None
-    linewidth_khz_over_2pi: Optional[float] = None
-    loss_ratio: Optional[float] = None
-    dge_sq: Optional[float] = None
-    gamma: Optional[float] = None
-    gamma_bar: Optional[float] = None
-    delta_bar: Optional[float] = None
-    delta_min: Optional[float] = None
-    delta_max: Optional[float] = None
-    steps: Optional[int] = None
-    include_a: bool = False
-    scan: bool = False
-    delta_alpha: Optional[float] = None
-    delta_beta: Optional[float] = None
-    delta_small_min: Optional[float] = None
-    delta_small_max: Optional[float] = None
-    delta_small_steps: Optional[int] = None
-    delta_rad_per_s: Optional[float] = None
-    out: Optional[str] = None
-    field_spec: Optional[FieldSpec] = None
 
 
 def _parse_float(value: str) -> float:
@@ -164,41 +124,75 @@ def _parse_float3(value: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-_MAIN_KEYS = {
-    "atom": ("atom", str),
-    "spin_twice": ("spin_twice", _parse_int),
-    "ahf_prime_khz_over_2pi": ("ahf_prime_khz_over_2pi", _parse_float),
-    "bhf_khz_over_2pi": ("bhf_khz_over_2pi", _parse_float),
-    "linewidth_khz_over_2pi": ("linewidth_khz_over_2pi", _parse_float),
-    "loss_ratio": ("loss_ratio", _parse_float),
-    "dge_sq": ("dge_sq", _parse_float),
-    "gamma": ("gamma", _parse_float),
-    "gamma_bar": ("gamma_bar", _parse_float),
-    "delta_bar": ("delta_bar", _parse_float),
-    "delta_min": ("delta_min", _parse_float),
-    "delta_max": ("delta_max", _parse_float),
-    "steps": ("steps", _parse_int),
-    "include_a": ("include_a", _parse_bool),
-    "scan": ("scan", _parse_bool),
-    "delta_alpha": ("delta_alpha", _parse_float),
-    "delta_beta": ("delta_beta", _parse_float),
-    "delta_small_min": ("delta_small_min", _parse_float),
-    "delta_small_max": ("delta_small_max", _parse_float),
-    "delta_small_steps": ("delta_small_steps", _parse_int),
-    "delta_rad_per_s": ("delta_rad_per_s", _parse_float),
-    "out": ("out", str),
-}
+@dataclass
+class FieldSpec:
+    """Raw [field] section values before they become a concrete geometry."""
 
-_FIELD_KEYS = {
-    "kind": ("kind", str),
-    "amplitude": ("amplitude", _parse_float),
-    "wavenumber": ("wavenumber", _parse_float),
-    "handedness": ("handedness", _parse_handedness),
-    "delta_omega": ("delta_omega", _parse_float),
-    "e": ("e", _parse_complex3),
-    "position": ("position", _parse_float3),
-    "time": ("time", _parse_float),
-}
+    kind: Optional[str] = None
+    amplitude: float = 1.0
+    wavenumber: float = 1.0
+    handedness: int = field(default=+1, metadata={"parser": _parse_handedness})
+    delta_omega: float = 0.0
+    e: Optional[tuple[complex, complex, complex]] = field(
+        default=None, metadata={"parser": _parse_complex3})
+    position: tuple[float, float, float] = field(
+        default=(0.0, 0.0, 0.0), metadata={"parser": _parse_float3})
+    time: float = 0.0
+
+
+@dataclass
+class RunConfig:
+    """Validated key/value configuration for one CLI run."""
+
+    atom: Optional[str] = None
+    spin_twice: Optional[int] = None
+    ahf_prime_khz_over_2pi: Optional[float] = None
+    bhf_khz_over_2pi: Optional[float] = None
+    linewidth_khz_over_2pi: Optional[float] = None
+    loss_ratio: Optional[float] = None
+    dge_sq: Optional[float] = None
+    gamma: Optional[float] = None
+    gamma_bar: Optional[float] = None
+    delta_bar: Optional[float] = None
+    delta_min: Optional[float] = None
+    delta_max: Optional[float] = None
+    steps: Optional[int] = None
+    include_a: bool = False
+    scan: bool = False
+    delta_alpha: Optional[float] = None
+    delta_beta: Optional[float] = None
+    delta_small_min: Optional[float] = None
+    delta_small_max: Optional[float] = None
+    delta_small_steps: Optional[int] = None
+    delta_rad_per_s: Optional[float] = None
+    out: Optional[str] = None
+    field_spec: Optional[FieldSpec] = None
+
+
+_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str}
+
+
+def _key_table(cls) -> dict:
+    """Config key -> value parser for every field of cls but field_spec.
+
+    The key is the attribute name.  A field's metadata may name its parser;
+    otherwise its annotation, with Optional stripped, picks one.
+    """
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        if f.name == "field_spec":
+            continue
+        if "parser" in f.metadata:
+            table[f.name] = f.metadata["parser"]
+        else:
+            optional_of = typing.get_args(hints[f.name])  # (X, NoneType) for Optional[X]
+            table[f.name] = _PARSERS[optional_of[0] if optional_of else hints[f.name]]
+    return table
+
+
+_MAIN_KEYS = _key_table(RunConfig)
+_FIELD_KEYS = _key_table(FieldSpec)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -229,20 +223,27 @@ def parse_config(text: str) -> RunConfig:
         if (section, key) in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add((section, key))
-        attr, parser = table[key]
         try:
-            parsed = parser(value)
+            parsed = table[key](value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        if section == "field":
-            setattr(config.field_spec, attr, parsed)
-        else:
-            setattr(config, attr, parsed)
+        setattr(config.field_spec if section == "field" else config, key, parsed)
     _validate(config)
     return config
 
 
+def _check_finite(obj, table: dict) -> None:
+    for key in table:
+        value = getattr(obj, key)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+                raise ConfigError(f"{key}: must be finite, got {x!r}")
+
+
 def _validate(config: RunConfig) -> None:
+    _check_finite(config, _MAIN_KEYS)
+    if config.field_spec is not None:
+        _check_finite(config.field_spec, _FIELD_KEYS)
     if config.atom is not None and config.atom not in ATOM_PRESETS:
         raise ConfigError(f"atom: unknown preset {config.atom!r}")
     if config.atom is not None and config.ahf_prime_khz_over_2pi is not None:
@@ -262,10 +263,14 @@ def _validate(config: RunConfig) -> None:
     if (config.delta_small_min is not None
             and not config.delta_small_min < config.delta_small_max):
         raise ConfigError("delta_small_min: must be strictly below delta_small_max")
+    if config.delta_small_min is not None and config.delta_small_min <= 0:
+        raise ConfigError("delta_small_min: must be positive")
     if config.gamma_bar is not None and config.gamma_bar < 0:
         raise ConfigError("gamma_bar: must be non-negative")
     if config.loss_ratio is not None and config.loss_ratio < 0:
         raise ConfigError("loss_ratio: must be non-negative")
+    if config.linewidth_khz_over_2pi is not None and config.linewidth_khz_over_2pi < 0:
+        raise ConfigError("linewidth_khz_over_2pi: must be non-negative")
     if config.field_spec is not None and config.field_spec.kind is not None:
         _build_field(config.field_spec)  # reject bad geometry early
 
@@ -278,17 +283,21 @@ def resolve_atom(config: RunConfig) -> Optional[AtomParams]:
         return None
     if config.spin_twice is None:
         raise ConfigError("spin_twice: required with explicit atom constants")
+    spin = HalfInteger(config.spin_twice)
     ahf_prime = TWO_PI * config.ahf_prime_khz_over_2pi * 1e3
     bhf = TWO_PI * (config.bhf_khz_over_2pi or 0.0) * 1e3
     dge_sq = config.dge_sq if config.dge_sq is not None else 1.0
-    trial = AtomParams(HalfInteger(config.spin_twice), ahf_prime, bhf, 0.0, dge_sq)
+    try:
+        a_hf = derive_constants(AtomParams(spin, ahf_prime, bhf, 0.0, dge_sq)).a_hf
+    except ValueError as exc:
+        raise ConfigError(f"atom constants: {exc}") from None
     if config.linewidth_khz_over_2pi is not None:
         linewidth = TWO_PI * config.linewidth_khz_over_2pi * 1e3
     elif config.loss_ratio is not None:
-        linewidth = config.loss_ratio * abs(derive_constants(trial).a_hf)
+        linewidth = config.loss_ratio * abs(a_hf)
     else:
         linewidth = 0.0
-    return AtomParams(HalfInteger(config.spin_twice), ahf_prime, bhf, linewidth, dge_sq)
+    return AtomParams(spin, ahf_prime, bhf, linewidth, dge_sq)
 
 
 def resolve_spin_gamma(config: RunConfig) -> tuple[HalfInteger, float, float]:
@@ -309,6 +318,14 @@ def resolve_spin_gamma(config: RunConfig) -> tuple[HalfInteger, float, float]:
         raise ConfigError("gamma: required without atom constants")
     return (HalfInteger(config.spin_twice), config.gamma,
             config.gamma_bar if config.gamma_bar is not None else 0.0)
+
+
+def _check_dimension(spin: HalfInteger) -> None:
+    # heff and oracle-diff build dense spin matrices; the closed forms have no cap
+    if spin.twice + 1 > DEFAULT_MAX_DIMENSION:
+        raise ConfigError(
+            f"spin_twice: dimension {spin.twice + 1} exceeds {DEFAULT_MAX_DIMENSION}"
+        )
 
 
 def _build_field(spec: FieldSpec):
@@ -343,17 +360,6 @@ def _matrix_json(matrix: np.ndarray) -> list:
     return [[_pair(matrix[r, c]) for c in range(matrix.shape[1])] for r in range(matrix.shape[0])]
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One line of the coefficient scan CSV."""
-
-    delta_bar: float
-    b0: complex
-    b1: complex
-    b2: complex
-    status: str
-
-
 SCAN_HEADER = "delta_bar,re_b0,im_b0,re_b1,im_b1,re_b2,im_b2,status"
 BICHROMATIC_HEADER = "delta_small_bar,w_alpha,re_b1_sum,im_b0_sum,ratio,status"
 
@@ -364,20 +370,15 @@ def run_scan(config: RunConfig) -> str:
     if config.delta_min is None or config.steps is None:
         raise ConfigError("delta_min/delta_max/steps: required for scan")
     grid = np.linspace(config.delta_min, config.delta_max, config.steps)
-    nan = float("nan")
     lines = [SCAN_HEADER]
     for delta_bar in grid:
         try:
             bset = b_coefficients(spin, gamma, ComplexDetuning.of(float(delta_bar), gamma_bar))
-            row = ScanRow(float(delta_bar), bset.c0, bset.c1, bset.c2, "ok")
+            b, status = (bset.c0, bset.c1, bset.c2), "ok"
         except PoleProximityError:
-            z = complex(nan, nan)
-            row = ScanRow(float(delta_bar), z, z, z, "pole")
-        values = [row.delta_bar,
-                  row.b0.real, row.b0.imag,
-                  row.b1.real, row.b1.imag,
-                  row.b2.real, row.b2.imag]
-        lines.append(",".join(_fmt(v) for v in values) + f",{row.status}")
+            b, status = (complex(math.nan, math.nan),) * 3, "pole"
+        values = [float(delta_bar)] + [part for z in b for part in (z.real, z.imag)]
+        lines.append(",".join(_fmt(v) for v in values) + f",{status}")
     return "\n".join(lines) + "\n"
 
 
@@ -406,6 +407,7 @@ def _run_heff(config: RunConfig) -> tuple[str, int]:
         raise ConfigError("delta_bar: required for heff")
     if config.field_spec is None:
         raise ConfigError("[field] section: required for heff")
+    _check_dimension(spin)
     geometry = _build_field(config.field_spec)
     e = field_at(geometry, config.field_spec.position, config.field_spec.time)
     ops = make_spin_operators(spin)
@@ -425,6 +427,7 @@ def _run_heff(config: RunConfig) -> tuple[str, int]:
 
 def _run_oracle_diff(config: RunConfig) -> tuple[str, int]:
     spin, gamma, gamma_bar = resolve_spin_gamma(config)
+    _check_dimension(spin)
     lo = config.delta_min if config.delta_min is not None else -8.0
     hi = config.delta_max if config.delta_max is not None else 6.0
     n = config.steps if config.steps is not None else 200

@@ -245,22 +245,13 @@ def soc_rotating_frame(b: PolarizabilitySet, amplitude: float, k: float, delta_o
                        position, ops: SpinOperators) -> tuple[np.ndarray, np.ndarray]:
     """Static vector and tensor parts after the spin rotation at delta_omega about z.
 
-    The frame change trades the time dependence for an extra delta_omega * I_z
-    term in the vector part; choosing delta_omega = tuned_delta_omega removes
-    the I_z projection entirely.
+    This is soc_components at t = 0 plus delta_omega * I_z on the vector part:
+    the frame change trades the time dependence for that extra term, and
+    choosing delta_omega = tuned_delta_omega removes the I_z projection
+    entirely.
     """
-    if b.form is not CoeffForm.B_FORM:
-        raise ValueError("soc_rotating_frame expects b-form coefficients")
-    _, y, z = (float(c) for c in position)
-    s0 = k * y - k * z
-    amp_sq = amplitude * amplitude
-    ixy = ixy_operator(ops, s0)
-    h1 = -(amp_sq / 8.0) * b.c1 * (ops.iz - math.sqrt(2.0) * ixy) + delta_omega * ops.iz
-    anticomm = ixy @ ops.iz + ops.iz @ ixy
-    h2 = (amp_sq / 4.0) * b.c2 * (
-        -ops.total_squared() / 6.0 + (ops.iz @ ops.iz) / 2.0 + anticomm / math.sqrt(2.0)
-    )
-    return h1, h2
+    h1, h2 = soc_components(b, amplitude, k, delta_omega, position, 0.0, ops)
+    return h1 + delta_omega * ops.iz, h2
 
 
 def tuned_delta_omega(b: PolarizabilitySet, amplitude: float) -> float:

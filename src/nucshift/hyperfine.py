@@ -78,19 +78,14 @@ class HfEnergies:
 def derive_constants(params: AtomParams) -> DerivedHfConstants:
     """Merge the bare dipole and quadrupole constants into (A_hf, gamma) for j = 1."""
     i = params.spin.value
-    if params.spin.twice == 1:
-        if params.bhf != 0.0:
-            raise ValueError("quadrupole constant undefined for spin 1/2")
-        a_hf = params.ahf_prime
-        gamma = 0.0
-    else:
-        denom = 4.0 * i * (2.0 * i - 1.0)  # j(2j-1) = 1 for j = 1
-        a_hf = params.ahf_prime + 3.0 * params.bhf / denom
-        if a_hf == 0.0:
-            raise ValueError("A_hf vanishes; dimensionless quantities are undefined")
-        gamma = 6.0 * params.bhf / (a_hf * denom)
+    # j(2j-1) = 1 for j = 1; denom vanishes for spin 1/2, which has no
+    # quadrupole term (AtomParams rejects a nonzero bhf there)
+    quadrupole = params.spin.twice > 1
+    denom = 4.0 * i * (2.0 * i - 1.0)
+    a_hf = params.ahf_prime + 3.0 * params.bhf / denom if quadrupole else params.ahf_prime
     if a_hf == 0.0:
         raise ValueError("A_hf vanishes; dimensionless quantities are undefined")
+    gamma = 6.0 * params.bhf / (a_hf * denom) if quadrupole else 0.0
     return DerivedHfConstants(a_hf=a_hf, gamma=gamma)
 
 

@@ -93,15 +93,18 @@ class PolarizabilitySet:
         return np.array([self.c0, self.c1, self.c2], dtype=complex)
 
 
-def _check_poles(detuning: ComplexDetuning, energies) -> None:
-    if detuning.gamma_bar != 0.0:
-        return
-    d = detuning.value.real
+def _check_real_poles(delta_bar: float, energies) -> None:
+    """Raise PoleProximityError when the real detuning lies within POLE_EPSILON of a level."""
     for e in energies.as_tuple():
-        if abs(d - e) <= POLE_EPSILON:
+        if abs(delta_bar - e) <= POLE_EPSILON:
             raise PoleProximityError(
-                f"detuning {d} within {POLE_EPSILON} of hyperfine pole at {e}"
+                f"detuning {delta_bar} within {POLE_EPSILON} of hyperfine pole at {e}"
             )
+
+
+def _check_poles(detuning: ComplexDetuning, energies) -> None:
+    if detuning.gamma_bar == 0.0:
+        _check_real_poles(detuning.value.real, energies)
 
 
 def a_coefficients(spin, gamma: float, delta) -> PolarizabilitySet:

@@ -8,6 +8,7 @@ from nucshift import (
     CancellationInfeasibleError,
     ComplexDetuning,
     HalfInteger,
+    PoleProximityError,
     assemble_heff,
     b_coefficients,
     combined_coefficients,
@@ -161,6 +162,39 @@ class TestMeritScan:
         for r1, r2 in zip(base, doubled):
             assert r2.im_b0_sum == pytest.approx(2.0 * r1.im_b0_sum, rel=1e-3)
             assert r2.ratio == pytest.approx(r1.ratio / 2.0, rel=1e-3)
+
+    def test_rows_equal_per_point_solve_and_sum(self):
+        # gamma = 0 puts the poles on the grid: imbalance 4.5 drives the beta
+        # detuning onto the lower level, 5.5 the alpha detuning onto the upper one
+        gamma_bar = 3e-5
+        grid = np.linspace(0.25, 8.25, 2**5 + 1)
+        e_mid = hf_energies(SPIN92, 0.0).e_mid
+        nan = float("nan")
+        want = []
+        for small in grid:
+            d_alpha, d_beta = e_mid + small, e_mid - small
+            try:
+                w_alpha, w_beta = solve_tensor_cancellation(d_alpha, d_beta, SPIN92, 0.0,
+                                                            gamma_bar)
+            except PoleProximityError:
+                want.append((small, nan, nan, nan, nan, "pole"))
+                continue
+            except CancellationInfeasibleError:
+                want.append((small, nan, nan, nan, nan, "same-sign"))
+                continue
+            spec = BichromaticSpec(d_alpha, d_beta, w_alpha, w_beta, gamma_bar)
+            combined = combined_coefficients(spec, SPIN92, 0.0)
+            re_b1, im_b0 = combined.c1.real, combined.c0.imag
+            want.append((small, w_alpha, re_b1, im_b0, re_b1 / im_b0, "ok"))
+        rows = merit_scan(SPIN92, 0.0, gamma_bar, grid)
+        assert {r.status for r in rows} == {"ok", "pole", "same-sign"}
+
+        def render(row):
+            return [f"{v:.17g}" for v in row[:5]] + [row[5]]
+
+        got = [(r.delta_small, r.w_alpha, r.re_b1_sum, r.im_b0_sum, r.ratio, r.status)
+               for r in rows]
+        assert [render(r) for r in got] == [render(r) for r in want]
 
     def test_rejects_nonpositive_imbalance(self):
         with pytest.raises(ValueError):

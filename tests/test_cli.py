@@ -296,6 +296,43 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "infeasible"
 
+    INPUT_ERRORS = [
+        ("coeffs", "atom = sr87\n", ["--delta-bar", "nan"]),
+        ("coeffs", "atom = sr87\n", ["--delta-bar", "inf"]),
+        ("coeffs", "atom = sr87\ndelta_bar = 2\n", ["--gamma-bar", "nan"]),
+        ("scan", "atom = sr87\ndelta_min = -inf\ndelta_max = 3\nsteps = 5\n", []),
+        ("heff", "spin_twice = 3\ngamma = 0\ndelta_bar = 2\n"
+                 "[field]\nkind = raw\ne = 1, nanj, 0\n", []),
+        ("heff", "spin_twice = 3\ngamma = 0\ndelta_bar = 2\n"
+                 "[field]\nkind = single_linear\nposition = 0, inf, 0\n", []),
+        ("bichromatic", "atom = sr87\nscan = true\n"
+                        "delta_small_min = -1\ndelta_small_max = 2\n", []),
+        ("coeffs", "spin_twice = 9\nahf_prime_khz_over_2pi = 1000\ndge_sq = -1\n"
+                   "delta_bar = 2\n", []),
+        ("coeffs", "spin_twice = 9\nahf_prime_khz_over_2pi = 0\ndelta_bar = 2\n", []),
+        ("coeffs", "spin_twice = 9\nahf_prime_khz_over_2pi = 1000\n"
+                   "linewidth_khz_over_2pi = -1\ndelta_bar = 2\n", []),
+        ("heff", "spin_twice = 101\ngamma = 0\ndelta_bar = 2\n"
+                 "[field]\nkind = single_linear\n", []),
+        ("oracle-diff", "spin_twice = 101\ngamma = 0\n", []),
+    ]
+
+    INPUT_ERROR_IDS = ["delta-bar-nan", "delta-bar-inf", "gamma-bar-nan", "delta-min-inf",
+                       "field-e-nan", "field-position-inf", "delta-small-min-negative",
+                       "dge-sq-negative", "ahf-vanishes", "linewidth-negative",
+                       "heff-dimension-cap", "oracle-dimension-cap"]
+
+    @pytest.mark.parametrize("name,body,flags", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
+    def test_input_errors_exit_2_with_one_json_line(self, name, body, flags, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(body)
+        assert main([name, "--config", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+
     def test_flags_merge(self, capsys):
         assert main(["rephasing", "--atom", "sr87", "--delta-bar", "3"]) == 0
         out = capsys.readouterr().out

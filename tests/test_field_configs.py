@@ -255,6 +255,31 @@ class TestSpinOrbitCoupling:
             conjugated = u @ (h1 + h2) @ u.conj().T + self.delta_omega * self.ops.iz
             assert np.abs(conjugated - static).max() <= 1e-12
 
+    def test_rotating_frame_equals_explicit_formula(self):
+        def explicit(b, amplitude, k, delta_omega, position, ops):
+            _, y, z = position
+            s0 = k * y - k * z
+            amp_sq = amplitude * amplitude
+            ixy = ixy_operator(ops, s0)
+            h1 = -(amp_sq / 8.0) * b.c1 * (ops.iz - math.sqrt(2.0) * ixy) + delta_omega * ops.iz
+            anticomm = ixy @ ops.iz + ops.iz @ ixy
+            h2 = (amp_sq / 4.0) * b.c2 * (
+                -ops.total_squared() / 6.0 + (ops.iz @ ops.iz) / 2.0 + anticomm / math.sqrt(2.0)
+            )
+            return h1, h2
+
+        rng = np.random.default_rng(5)
+        for twice in (1, 3, 9, 21):
+            ops = make_spin_operators(HalfInteger(twice))
+            for _ in range(20):
+                delta = rng.uniform(-12.0, 12.0)
+                bset = b_coefficients(HalfInteger(twice), rng.uniform(0.0, 0.01),
+                                      ComplexDetuning.of(delta, rng.choice((0.0, 1e-4))))
+                args = (bset, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+                        rng.uniform(-0.5, 0.5), tuple(rng.uniform(-5.0, 5.0, size=3)), ops)
+                for got, want in zip(soc_rotating_frame(*args), explicit(*args)):
+                    assert np.array_equal(got, want)
+
     def test_tuned_offset_removes_uniform_vector_shift(self):
         tuned = tuned_delta_omega(self.bset, self.amp)
         h1s, _ = soc_rotating_frame(self.bset, self.amp, self.k, tuned, (0.0, 0.3, 0.8), self.ops)
