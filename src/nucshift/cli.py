@@ -8,8 +8,11 @@ are byte-deterministic: fixed headers, fixed ordering, floats rendered with 17
 significant digits.
 
 Exit codes: 0 success, 1 oracle-diff threshold failure or I/O error, 2 input
-error (every one, non-finite numbers included, with one JSON line on stderr),
-3 numeric-domain error (pole proximity), 4 infeasible tensor cancellation.
+error (every one, with one JSON line on stderr: non-finite numbers, a
+non-positive beam amplitude or wavenumber, an oracle-diff grid too crowded
+with poles and atom constants that overflow included), 3 numeric-domain error
+(pole proximity, or a non-finite result, which is never written out), 4
+infeasible tensor cancellation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -61,30 +64,24 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure (CLI exit code 2)."""
 
 
-def _sr87() -> AtomParams:
-    ahf_prime = TWO_PI * -260085e3
-    bhf = TWO_PI * -35667e3
-    trial = AtomParams(HalfInteger(9), ahf_prime, bhf, 0.0, 1.0)
-    a_hf = derive_constants(trial).a_hf
-    # linewidth pinned through the loss ratio 3e-5 of the merged constant
-    return AtomParams(HalfInteger(9), ahf_prime, bhf, 3e-5 * abs(a_hf), 1.0)
+class NonFiniteResultError(ArithmeticError):
+    """A finite input overflowed to inf or nan inside the computation (CLI exit code 3)."""
 
 
-ATOM_PRESETS = {"sr87": _sr87}
+# A preset is the config keys it fixes; it overrides whatever the file gives for them.
+ATOM_PRESETS = {
+    "sr87": {"spin_twice": 9, "ahf_prime_khz_over_2pi": -260085.0, "bhf_khz_over_2pi": -35667.0,
+             "loss_ratio": 3e-5, "linewidth_khz_over_2pi": None, "dge_sq": None},
+}
 
 
-def _parse_float(value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {value!r}") from exc
-
-
-def _parse_int(value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {value!r}") from exc
+def _parse_scalar(convert, what: str):
+    def parse(value: str):
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"expected a {what}, got {value!r}") from exc
+    return parse
 
 
 def _parse_bool(value: str) -> bool:
@@ -102,26 +99,15 @@ def _parse_handedness(value: str) -> int:
     raise ConfigError(f"expected + or -, got {value!r}")
 
 
-def _parse_complex3(value: str) -> tuple[complex, complex, complex]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated complex numbers, got {value!r}")
-    try:
-        x, y, z = (complex(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad complex component in {value!r}") from exc
-    return (x, y, z)
+def _parse_triple(convert, what: str):
+    parse_one = _parse_scalar(convert, what)
 
-
-def _parse_float3(value: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {value!r}")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad component in {value!r}") from exc
-    return (x, y, z)
+    def parse(value: str) -> tuple:
+        parts = value.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"expected three comma-separated {what}s, got {value!r}")
+        return tuple(parse_one(p.strip()) for p in parts)
+    return parse
 
 
 @dataclass
@@ -134,9 +120,9 @@ class FieldSpec:
     handedness: int = field(default=+1, metadata={"parser": _parse_handedness})
     delta_omega: float = 0.0
     e: Optional[tuple[complex, complex, complex]] = field(
-        default=None, metadata={"parser": _parse_complex3})
+        default=None, metadata={"parser": _parse_triple(complex, "complex number")})
     position: tuple[float, float, float] = field(
-        default=(0.0, 0.0, 0.0), metadata={"parser": _parse_float3})
+        default=(0.0, 0.0, 0.0), metadata={"parser": _parse_triple(float, "number")})
     time: float = 0.0
 
 
@@ -169,7 +155,8 @@ class RunConfig:
     field_spec: Optional[FieldSpec] = None
 
 
-_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str}
+_PARSERS = {int: _parse_scalar(int, "whole number"), float: _parse_scalar(float, "number"),
+            bool: _parse_bool, str: str}
 
 
 def _key_table(cls) -> dict:
@@ -278,7 +265,7 @@ def _validate(config: RunConfig) -> None:
 def resolve_atom(config: RunConfig) -> Optional[AtomParams]:
     """Concrete atom constants, from the preset or the explicit physical keys."""
     if config.atom is not None:
-        return ATOM_PRESETS[config.atom]()
+        config = replace(config, atom=None, **ATOM_PRESETS[config.atom])
     if config.ahf_prime_khz_over_2pi is None:
         return None
     if config.spin_twice is None:
@@ -328,22 +315,30 @@ def _check_dimension(spin: HalfInteger) -> None:
         )
 
 
+_GEOMETRIES = {
+    "single_linear": SingleLinear,
+    "single_circular": SingleCircular,
+    "counterprop_cross": CounterPropCross,
+    "perpendicular_soc": PerpendicularSoc,
+    "raw": RawVector,
+}
+
+
 def _build_field(spec: FieldSpec):
+    """The geometry of spec.kind, given the [field] keys named like its fields."""
     if spec.kind is None:
         raise ConfigError("kind: required in [field] section")
-    if spec.kind == "single_linear":
-        return SingleLinear(spec.amplitude, spec.wavenumber)
-    if spec.kind == "single_circular":
-        return SingleCircular(spec.amplitude, spec.wavenumber, spec.handedness)
-    if spec.kind == "counterprop_cross":
-        return CounterPropCross(spec.amplitude, spec.wavenumber)
-    if spec.kind == "perpendicular_soc":
-        return PerpendicularSoc(spec.amplitude, spec.wavenumber, spec.delta_omega)
-    if spec.kind == "raw":
-        if spec.e is None:
-            raise ConfigError("e: required for kind = raw")
-        return RawVector(spec.e)
-    raise ConfigError(f"kind: unknown field geometry {spec.kind!r}")
+    if spec.kind not in _GEOMETRIES:
+        raise ConfigError(f"kind: unknown field geometry {spec.kind!r}")
+    cls = _GEOMETRIES[spec.kind]
+    kwargs = {f.name: getattr(spec, f.name) for f in fields(cls)}
+    for key, value in kwargs.items():
+        if value is None:
+            raise ConfigError(f"{key}: required for kind = {spec.kind}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[field] kind = {spec.kind}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -358,6 +353,13 @@ def _pair(z: complex) -> list[float]:
 
 def _matrix_json(matrix: np.ndarray) -> list:
     return [[_pair(matrix[r, c]) for c in range(matrix.shape[1])] for r in range(matrix.shape[0])]
+
+
+def _json_text(payload: dict) -> str:
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a float in payload is inf or nan
+        raise NonFiniteResultError(f"result is not finite: {exc}") from None
 
 
 SCAN_HEADER = "delta_bar,re_b0,im_b0,re_b1,im_b1,re_b2,im_b2,status"
@@ -398,7 +400,7 @@ def _run_coeffs(config: RunConfig) -> tuple[str, int]:
     if config.include_a:
         aset = a_coefficients(spin, gamma, det)
         payload["a"] = {"a0": _pair(aset.c0), "a1": _pair(aset.c1), "a2": _pair(aset.c2)}
-    return json.dumps(payload, indent=2) + "\n", 0
+    return _json_text(payload), 0
 
 
 def _run_heff(config: RunConfig) -> tuple[str, int]:
@@ -422,16 +424,17 @@ def _run_heff(config: RunConfig) -> tuple[str, int]:
             "tensor": _matrix_json(heff.parts.tensor),
         },
     }
-    return json.dumps(payload, indent=2) + "\n", 0
+    return _json_text(payload), 0
 
 
 def _run_oracle_diff(config: RunConfig) -> tuple[str, int]:
     spin, gamma, gamma_bar = resolve_spin_gamma(config)
     _check_dimension(spin)
-    lo = config.delta_min if config.delta_min is not None else -8.0
-    hi = config.delta_max if config.delta_max is not None else 6.0
-    n = config.steps if config.steps is not None else 200
-    grid = offpole_grid(spin, gamma, lo, hi, n, clearance=0.05)
+    given = {"lo": config.delta_min, "hi": config.delta_max, "n": config.steps}
+    try:
+        grid = offpole_grid(spin, gamma, **{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:  # the interval holds too few points clear of the poles
+        raise ConfigError(f"delta_min/delta_max/steps: {exc}") from None
     deviation = oracle_vs_analytic_deviation(spin, gamma, grid, gamma_bar)
     ok = deviation <= ORACLE_DIFF_THRESHOLD
     text = (
@@ -471,7 +474,7 @@ def _run_bichromatic(config: RunConfig) -> tuple[str, int]:
             "b2": _pair(combined.c2),
         },
     }
-    return json.dumps(payload, indent=2) + "\n", 0
+    return _json_text(payload), 0
 
 
 def _run_rephasing(config: RunConfig) -> tuple[str, int]:
@@ -484,8 +487,8 @@ def _run_rephasing(config: RunConfig) -> tuple[str, int]:
         delta = config.delta_bar * abs(derive_constants(atom).a_hf)
     else:
         raise ConfigError("delta_rad_per_s or delta_bar: required for rephasing")
-    if delta <= 0:
-        raise ConfigError("delta_rad_per_s: must be positive")
+    if not 0 < delta < math.inf:
+        raise ConfigError(f"delta_rad_per_s: must be positive and finite, got {delta!r}")
     return f"rephasing_length_m = {_fmt(rephasing_length(delta))}\n", 0
 
 
@@ -507,16 +510,11 @@ def run_subcommand(name: str, config: RunConfig) -> tuple[str, int]:
 
 
 def _merge_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.atom is not None:
-        config.atom = args.atom
-    if args.delta_bar is not None:
-        config.delta_bar = args.delta_bar
-    if args.gamma_bar is not None:
-        config.gamma_bar = args.gamma_bar
+    for key in ("atom", "delta_bar", "gamma_bar", "out"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     if args.scan:
         config.scan = True
-    if args.out is not None:
-        config.out = args.out
     _validate(config)
     return config
 
@@ -546,11 +544,19 @@ def main(argv=None) -> int:
             config = RunConfig()
         config = _merge_flags(config, args)
         text, code = run_subcommand(args.subcommand, config)
+        if config.out is not None:
+            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except PoleProximityError as exc:
         print(json.dumps({"error": "pole", "message": str(exc)}), file=sys.stderr)
+        return 3
+    except NonFiniteResultError as exc:
+        print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
         return 3
     except CancellationInfeasibleError as exc:
         print(json.dumps({"error": "infeasible", "message": str(exc)}), file=sys.stderr)
@@ -558,16 +564,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 1
-
-    if config.out is not None:
-        try:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -24,44 +24,49 @@ from .spin_algebra import SpinOperators
 
 
 @dataclass(frozen=True)
-class SingleLinear:
-    """One beam along z, linearly polarized along z: E e^{ikz} e_z."""
+class _Beam:
+    """Amplitude E and wavenumber k shared by the plane-wave geometries, both positive."""
 
     amplitude: float
     wavenumber: float
+
+    def __post_init__(self):
+        if self.amplitude <= 0:
+            raise ValueError("amplitude must be positive")
+        if self.wavenumber <= 0:
+            raise ValueError("wavenumber must be positive")
 
 
 @dataclass(frozen=True)
-class SingleCircular:
+class SingleLinear(_Beam):
+    """One beam along z, linearly polarized along z: E e^{ikz} e_z."""
+
+
+@dataclass(frozen=True)
+class SingleCircular(_Beam):
     """One beam along z, circularly polarized: E e^{ikz} (e_x + handedness*i e_y)/sqrt(2)."""
 
-    amplitude: float
-    wavenumber: float
     handedness: int = +1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.handedness not in (+1, -1):
             raise ValueError("handedness must be +1 or -1")
 
 
 @dataclass(frozen=True)
-class CounterPropCross:
+class CounterPropCross(_Beam):
     """Cross-polarized counter-propagating pair: (E/sqrt(2)) (e^{ikz} e_x + e^{-ikz} e_y)."""
-
-    amplitude: float
-    wavenumber: float
 
 
 @dataclass(frozen=True)
-class PerpendicularSoc:
+class PerpendicularSoc(_Beam):
     """Circular beam along z plus z-polarized beam along y, detuned by delta_omega.
 
     (E/sqrt(2)) (e_+ e^{ikz} + e_z e^{i(ky - delta_omega t)}); the relative
     phase ky - kz - delta_omega*t winds the spin in the xy plane.
     """
 
-    amplitude: float
-    wavenumber: float
     delta_omega: float = 0.0
 
 
@@ -95,19 +100,11 @@ class EffectiveHamiltonian:
     units: HeffUnits
 
 
-def _amplitude_positive(config) -> None:
-    if config.amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    if config.wavenumber <= 0:
-        raise ValueError("wavenumber must be positive")
-
-
 def field_at(config: FieldConfig, position, time: float = 0.0) -> np.ndarray:
     """Complex field amplitude of a geometry at a position (x, y, z) and time."""
     _, y, z = (float(c) for c in position)
     if isinstance(config, RawVector):
         return np.array(config.e, dtype=complex)
-    _amplitude_positive(config)
     amp = config.amplitude
     k = config.wavenumber
     if isinstance(config, SingleLinear):

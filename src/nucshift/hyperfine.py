@@ -85,6 +85,8 @@ def derive_constants(params: AtomParams) -> DerivedHfConstants:
     a_hf = params.ahf_prime + 3.0 * params.bhf / denom if quadrupole else params.ahf_prime
     if a_hf == 0.0:
         raise ValueError("A_hf vanishes; dimensionless quantities are undefined")
+    if not np.isfinite(a_hf):
+        raise ValueError("A_hf is not finite; the constants overflow")
     gamma = 6.0 * params.bhf / (a_hf * denom) if quadrupole else 0.0
     return DerivedHfConstants(a_hf=a_hf, gamma=gamma)
 

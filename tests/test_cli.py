@@ -33,6 +33,19 @@ class TestParseConfig:
         assert gamma == pytest.approx(0.0057, abs=1e-4)
         assert gamma_bar == pytest.approx(3e-5, rel=1e-12)
 
+    def test_sr87_preset_is_its_keys(self):
+        explicit = parse_config(
+            "spin_twice = 9\n"
+            "ahf_prime_khz_over_2pi = -260085\n"
+            "bhf_khz_over_2pi = -35667\n"
+            "loss_ratio = 3e-5\n"
+        )
+        preset = resolve_atom(parse_config("atom = sr87\n"))
+        assert preset == resolve_atom(explicit)
+        # the preset overrides the keys it fixes
+        overridden = parse_config("atom = sr87\nspin_twice = 3\nloss_ratio = 0.5\n")
+        assert resolve_atom(overridden) == preset
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             parse_config("atom = cs133\n")
@@ -289,6 +302,18 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "pole"
 
+    def test_non_finite_result_is_3(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        path = tmp_path / "overflow.cfg"
+        path.write_text(f"out = {out}\nspin_twice = 9\ngamma = 1e300\ndelta_bar = 2\n")
+        assert main(["coeffs", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric"
+
     def test_infeasible_is_4(self, capsys, tmp_path):
         path = tmp_path / "same.cfg"
         path.write_text("atom = sr87\ndelta_alpha = 5.5\ndelta_beta = 6.0\n")
@@ -315,12 +340,19 @@ class TestMainExitCodes:
         ("heff", "spin_twice = 101\ngamma = 0\ndelta_bar = 2\n"
                  "[field]\nkind = single_linear\n", []),
         ("oracle-diff", "spin_twice = 101\ngamma = 0\n", []),
+        ("heff", "spin_twice = 3\ngamma = 0\ndelta_bar = 2\n"
+                 "[field]\nkind = single_linear\namplitude = -1\n", []),
+        ("heff", "spin_twice = 3\ngamma = 0\ndelta_bar = 2\n"
+                 "[field]\nkind = counterprop_cross\nwavenumber = 0\n", []),
+        ("oracle-diff", "atom = sr87\ndelta_min = -1.02\ndelta_max = -0.98\nsteps = 10\n", []),
+        ("rephasing", "spin_twice = 9\nahf_prime_khz_over_2pi = 1e306\n", ["--delta-bar", "2"]),
     ]
 
     INPUT_ERROR_IDS = ["delta-bar-nan", "delta-bar-inf", "gamma-bar-nan", "delta-min-inf",
                        "field-e-nan", "field-position-inf", "delta-small-min-negative",
                        "dge-sq-negative", "ahf-vanishes", "linewidth-negative",
-                       "heff-dimension-cap", "oracle-dimension-cap"]
+                       "heff-dimension-cap", "oracle-dimension-cap", "amplitude-negative",
+                       "wavenumber-zero", "oracle-grid-crowded", "ahf-overflows"]
 
     @pytest.mark.parametrize("name,body,flags", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
     def test_input_errors_exit_2_with_one_json_line(self, name, body, flags, capsys, tmp_path):

@@ -60,6 +60,12 @@ class TestFieldAt:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
             field_at(SingleLinear(0.0, 1.0), (0, 0, 0))
+        # construction alone raises, before any field_at call
+        for geometry in (SingleLinear, SingleCircular, CounterPropCross, PerpendicularSoc):
+            with pytest.raises(ValueError, match="amplitude"):
+                geometry(-1.0, 1.0)
+            with pytest.raises(ValueError, match="wavenumber"):
+                geometry(1.0, 0.0)
 
     def test_soc_time_dependence(self):
         cfg = PerpendicularSoc(1.0, 2.0, 0.3)

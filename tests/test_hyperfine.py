@@ -63,6 +63,12 @@ class TestDeriveConstants:
         assert consts.gamma == 0.0
         assert consts.a_hf == 5.0
 
+    @pytest.mark.parametrize("ahf_prime,bhf", [(1.0, 1e308), (math.inf, 0.0)])
+    def test_rejects_non_finite_merged_constant(self, ahf_prime, bhf):
+        # finite constants whose quadrupole term 3*bhf overflows, then an infinite one
+        with pytest.raises(ValueError, match="not finite"):
+            derive_constants(AtomParams(HalfInteger(9), ahf_prime, bhf, 0.0, 1.0))
+
     def test_spin_half(self):
         params = AtomParams(HalfInteger(1), -3.0, 0.0, 0.0, 1.0)
         consts = derive_constants(params)
