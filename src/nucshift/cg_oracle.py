@@ -121,6 +121,64 @@ def oracle_d_tensor(spin, gamma: float, delta) -> DTensor:
     return DTensor(blocks=blocks)
 
 
+def _hs_inner(x_conj: np.ndarray, y: np.ndarray):
+    # sum_sq Tr(x_sq^dag y_sq) as an elementwise product, x given conjugated
+    return np.einsum("sqmn,sqmn->", x_conj, y)
+
+
+@dataclass(frozen=True)
+class _ProjectionBasis:
+    """Everything the projection needs that depends on the spin alone."""
+
+    dim: int
+    identity: np.ndarray       # delta_sq * 1, shape (3, 3, N, N)
+    vec_basis: np.ndarray      # i * eps_ksq I_k
+    vec_conj: np.ndarray
+    vec_norm: float            # <vec_basis, vec_basis>, real part
+    tens_basis: np.ndarray     # {I_s, I_q} - (2/3) delta_sq I^2
+    tens_conj: np.ndarray
+    tens_norm: float
+
+
+def _projection_basis(ops: SpinOperators) -> _ProjectionBasis:
+    dim = ops.dimension
+    eye = np.eye(dim, dtype=complex)
+    spin_vec = np.stack(ops.vector())
+    i_sq = ops.total_squared()
+
+    # antisymmetric part against i * eps_ksq I_k
+    vec_basis = 1j * np.einsum("ksq,kmn->sqmn", _LEVIC, spin_vec)
+    vec_conj = vec_basis.conj()
+
+    # symmetric-traceless part against {I_s, I_q} - (2/3) d_sq I^2
+    sym = np.einsum("smk,qkn->sqmn", spin_vec, spin_vec)
+    sym = sym + sym.transpose(1, 0, 2, 3)
+    tens_basis = sym - (2.0 / 3.0) * np.einsum("sq,mn->sqmn", np.eye(3), i_sq)
+    tens_conj = tens_basis.conj()
+
+    return _ProjectionBasis(
+        dim=dim,
+        identity=np.einsum("sq,mn->sqmn", np.eye(3), eye),
+        vec_basis=vec_basis,
+        vec_conj=vec_conj,
+        vec_norm=_hs_inner(vec_conj, vec_basis).real,
+        tens_basis=tens_basis,
+        tens_conj=tens_conj,
+        tens_norm=_hs_inner(tens_conj, tens_basis).real,
+    )
+
+
+def _project(d: DTensor, basis: _ProjectionBasis) -> tuple[PolarizabilitySet, float]:
+    b0 = np.einsum("ssmm->", d.blocks) / (3.0 * basis.dim)
+    b1 = _hs_inner(basis.vec_conj, d.blocks) / basis.vec_norm
+    b2 = _hs_inner(basis.tens_conj, d.blocks) / basis.tens_norm
+    recon = b0 * basis.identity + b1 * basis.vec_basis + b2 * basis.tens_basis
+    denom = np.linalg.norm(d.blocks)
+    residual = float(np.linalg.norm(d.blocks - recon) / denom) if denom > 0 else 0.0
+    pset = PolarizabilitySet(form=CoeffForm.B_FORM, c0=complex(b0), c1=complex(b1), c2=complex(b2))
+    return pset, residual
+
+
 def extract_b_from_d(d: DTensor, ops: SpinOperators) -> tuple[PolarizabilitySet, float]:
     """Project a light-shift tensor onto its scalar / vector / tensor components.
 
@@ -128,39 +186,13 @@ def extract_b_from_d(d: DTensor, ops: SpinOperators) -> tuple[PolarizabilitySet,
     the reconstruction.  Projection normalizations are computed from the
     operator traces rather than hard-coded, so a convention slip in the basis
     would show up as a nonzero residual instead of a silently wrong scale.
+    The basis depends on the spin alone; oracle_vs_analytic_deviation builds
+    it once per grid and projects every point onto it with the same
+    arithmetic, so both routes give bit-identical coefficients.
     """
     if d.dimension != ops.dimension:
         raise ValueError("tensor and spin operators have mismatched dimensions")
-    dim = ops.dimension
-    eye = np.eye(dim, dtype=complex)
-    spin_vec = np.stack(ops.vector())
-    i_sq = ops.total_squared()
-
-    def hs_inner(x, y):
-        # sum_sq Tr(x_sq^dag y_sq) as an elementwise conjugate product
-        return np.einsum("sqmn,sqmn->", x.conj(), y)
-
-    b0 = np.einsum("ssmm->", d.blocks) / (3.0 * dim)
-
-    # antisymmetric part against i * eps_ksq I_k
-    vec_basis = 1j * np.einsum("ksq,kmn->sqmn", _LEVIC, spin_vec)
-    b1 = hs_inner(vec_basis, d.blocks) / hs_inner(vec_basis, vec_basis).real
-
-    # symmetric-traceless part against {I_s, I_q} - (2/3) d_sq I^2
-    sym = np.einsum("smk,qkn->sqmn", spin_vec, spin_vec)
-    sym = sym + sym.transpose(1, 0, 2, 3)
-    tens_basis = sym - (2.0 / 3.0) * np.einsum("sq,mn->sqmn", np.eye(3), i_sq)
-    b2 = hs_inner(tens_basis, d.blocks) / hs_inner(tens_basis, tens_basis).real
-
-    recon = (
-        b0 * np.einsum("sq,mn->sqmn", np.eye(3), eye)
-        + b1 * vec_basis
-        + b2 * tens_basis
-    )
-    denom = np.linalg.norm(d.blocks)
-    residual = float(np.linalg.norm(d.blocks - recon) / denom) if denom > 0 else 0.0
-    pset = PolarizabilitySet(form=CoeffForm.B_FORM, c0=complex(b0), c1=complex(b1), c2=complex(b2))
-    return pset, residual
+    return _project(d, _projection_basis(ops))
 
 
 def oracle_vs_analytic_deviation(spin, gamma: float, grid, gamma_bar: float = 0.0) -> float:
@@ -173,12 +205,12 @@ def oracle_vs_analytic_deviation(spin, gamma: float, grid, gamma_bar: float = 0.
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
-    ops = make_spin_operators(spin)
+    basis = _projection_basis(make_spin_operators(spin))
     worst = 0.0
     for delta_bar in grid:
         det = ComplexDetuning.of(float(delta_bar), gamma_bar)
         analytic = b_coefficients(spin, gamma, det).as_array()
-        oracle, _ = extract_b_from_d(oracle_d_tensor(spin, gamma, det), ops)
+        oracle, _ = _project(oracle_d_tensor(spin, gamma, det), basis)
         reference = oracle.as_array()
         dev = np.abs(analytic - reference) / np.maximum(np.abs(reference), 1e-300)
         worst = max(worst, float(dev.max()))

@@ -237,6 +237,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("atom: preset conflicts with explicit ahf_prime_khz_over_2pi")
     if config.spin_twice is not None and config.spin_twice < 1:
         raise ConfigError("spin_twice: must be at least 1")
+    if config.spin_twice is not None and config.spin_twice > sys.float_info.max:
+        raise ConfigError("spin_twice: must not exceed the largest float")
     if config.steps is not None and config.steps < 1:
         raise ConfigError("steps: must be at least 1")
     if (config.delta_min is None) != (config.delta_max is None):
@@ -367,7 +369,11 @@ BICHROMATIC_HEADER = "delta_small_bar,w_alpha,re_b1_sum,im_b0_sum,ratio,status"
 
 
 def run_scan(config: RunConfig) -> str:
-    """Coefficient scan over an ascending detuning grid, rendered as CSV text."""
+    """Coefficient scan over an ascending detuning grid, rendered as CSV text.
+
+    Pole rows carry nan cells; a row off the poles whose coefficients are not
+    finite raises NonFiniteResultError instead of being written.
+    """
     spin, gamma, gamma_bar = resolve_spin_gamma(config)
     if config.delta_min is None or config.steps is None:
         raise ConfigError("delta_min/delta_max/steps: required for scan")
@@ -376,9 +382,12 @@ def run_scan(config: RunConfig) -> str:
     for delta_bar in grid:
         try:
             bset = b_coefficients(spin, gamma, ComplexDetuning.of(float(delta_bar), gamma_bar))
-            b, status = (bset.c0, bset.c1, bset.c2), "ok"
         except PoleProximityError:
             b, status = (complex(math.nan, math.nan),) * 3, "pole"
+        else:
+            b, status = (bset.c0, bset.c1, bset.c2), "ok"
+            if not all(map(cmath.isfinite, b)):  # only pole rows may carry nan
+                raise NonFiniteResultError(f"result is not finite at delta_bar = {_fmt(delta_bar)}")
         values = [float(delta_bar)] + [part for z in b for part in (z.real, z.imag)]
         lines.append(",".join(_fmt(v) for v in values) + f",{status}")
     return "\n".join(lines) + "\n"
@@ -489,7 +498,10 @@ def _run_rephasing(config: RunConfig) -> tuple[str, int]:
         raise ConfigError("delta_rad_per_s or delta_bar: required for rephasing")
     if not 0 < delta < math.inf:
         raise ConfigError(f"delta_rad_per_s: must be positive and finite, got {delta!r}")
-    return f"rephasing_length_m = {_fmt(rephasing_length(delta))}\n", 0
+    length = rephasing_length(delta)
+    if not math.isfinite(length):
+        raise NonFiniteResultError(f"rephasing_length_m is not finite for delta = {delta!r}")
+    return f"rephasing_length_m = {_fmt(length)}\n", 0
 
 
 _SUBCOMMANDS = {

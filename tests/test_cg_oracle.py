@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nucshift import (
+    ComplexDetuning,
     DTensor,
     HalfInteger,
     a_coefficients,
@@ -153,6 +154,37 @@ class TestOracleVsAnalytic:
         spin = HalfInteger(5)
         grid = offpole_grid(spin, 0.0057)
         assert oracle_vs_analytic_deviation(spin, 0.0057, grid, 3e-5) <= 1e-10
+
+
+class TestOracleBitIdentity:
+    """The grid loop projects onto one basis per spin; the public per-point
+    route rebuilds it each time.  Both must give the same bits."""
+
+    @staticmethod
+    def point_by_point(spin, gamma, grid, gamma_bar):
+        ops = make_spin_operators(spin)
+        worst = 0.0
+        for delta in grid:
+            det = ComplexDetuning.of(float(delta), gamma_bar)
+            analytic = b_coefficients(spin, gamma, det).as_array()
+            oracle = extract_b_from_d(oracle_d_tensor(spin, gamma, det), ops)[0].as_array()
+            dev = np.abs(analytic - oracle) / np.maximum(np.abs(oracle), 1e-300)
+            worst = max(worst, float(dev.max()))
+        return worst
+
+    @pytest.mark.parametrize("twice,gamma,gamma_bar", [
+        (9, 0.005, 5e-5), (21, 0.0057, 3e-5), (9, 0.0057, 0.0),
+    ], ids=["i-9/2-lossy", "spin-twice-21-lossy", "lossless"])
+    def test_grid_equals_point_by_point(self, twice, gamma, gamma_bar):
+        spin = HalfInteger(twice)
+        grid = offpole_grid(spin, gamma, n=120)
+        got = oracle_vs_analytic_deviation(spin, gamma, grid, gamma_bar)
+        assert got == self.point_by_point(spin, gamma, grid, gamma_bar)
+
+    def test_public_projection_still_checks_dimension(self):
+        tensor = oracle_d_tensor(HalfInteger(9), 0.0057, 3.0)
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            extract_b_from_d(tensor, make_spin_operators(HalfInteger(7)))
 
 
 class TestSpinHalfAssembly:

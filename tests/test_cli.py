@@ -314,6 +314,22 @@ class TestMainExitCodes:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "numeric"
 
+    @pytest.mark.parametrize("name,body", [
+        ("scan", "spin_twice = 9\ngamma = 1e300\ndelta_min = 1\ndelta_max = 3\nsteps = 3\n"),
+        ("rephasing", "delta_rad_per_s = 1e-320\n"),
+    ], ids=["scan-overflow-row", "rephasing-length-inf"])
+    def test_non_finite_data_file_is_3(self, name, body, capsys, tmp_path):
+        out = tmp_path / "out.dat"
+        path = tmp_path / "overflow.cfg"
+        path.write_text(f"out = {out}\n" + body)
+        assert main([name, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric"
+
     def test_infeasible_is_4(self, capsys, tmp_path):
         path = tmp_path / "same.cfg"
         path.write_text("atom = sr87\ndelta_alpha = 5.5\ndelta_beta = 6.0\n")
@@ -346,13 +362,15 @@ class TestMainExitCodes:
                  "[field]\nkind = counterprop_cross\nwavenumber = 0\n", []),
         ("oracle-diff", "atom = sr87\ndelta_min = -1.02\ndelta_max = -0.98\nsteps = 10\n", []),
         ("rephasing", "spin_twice = 9\nahf_prime_khz_over_2pi = 1e306\n", ["--delta-bar", "2"]),
+        ("coeffs", f"spin_twice = {4 * 10**400}\ngamma = 0\ndelta_bar = 2\n", []),
     ]
 
     INPUT_ERROR_IDS = ["delta-bar-nan", "delta-bar-inf", "gamma-bar-nan", "delta-min-inf",
                        "field-e-nan", "field-position-inf", "delta-small-min-negative",
                        "dge-sq-negative", "ahf-vanishes", "linewidth-negative",
                        "heff-dimension-cap", "oracle-dimension-cap", "amplitude-negative",
-                       "wavenumber-zero", "oracle-grid-crowded", "ahf-overflows"]
+                       "wavenumber-zero", "oracle-grid-crowded", "ahf-overflows",
+                       "spin-twice-huge"]
 
     @pytest.mark.parametrize("name,body,flags", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
     def test_input_errors_exit_2_with_one_json_line(self, name, body, flags, capsys, tmp_path):
