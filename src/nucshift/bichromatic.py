@@ -12,12 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .shift_coefficients import (
+    _BLOCK_ROWS,
     CoeffForm,
     ComplexDetuning,
-    PoleProximityError,
     PolarizabilitySet,
+    _b_columns,
     _check_real_poles,
+    _mul,
+    _near_pole,
     b_coefficients,
 )
 from .hyperfine import hf_energies
@@ -111,41 +116,64 @@ class MeritRow:
     status: str  # "ok" | "pole" | "same-sign"
 
 
+_MERIT_STATUS = ("ok", "pole", "same-sign")
+
+
+def _merit_block(spin, gamma: float, gamma_bar: float,
+                 small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Status codes (indices into _MERIT_STATUS) and w_alpha, Re b1, Im b0, ratio columns.
+
+    Row for row this is the scalar path: _b_pair's real-part pole guard on
+    both detunings, _cancelling_weights, _weighted_sum and the ratio, with the
+    same float operations in the same order (complex ones through _mul), so
+    every value is bit-identical.  Rows that are not ok hold nan.
+    """
+    levels = hf_energies(spin, gamma)
+    d_alpha = levels.e_mid + small
+    d_beta = levels.e_mid - small
+    pole = _near_pole(d_alpha, levels) | _near_pole(d_beta, levels)
+    re0a, im0a, re1a, im1a, re2a, _ = _b_columns(spin, gamma, d_alpha, gamma_bar)
+    re0b, im0b, re1b, im1b, re2b, _ = _b_columns(spin, gamma, d_beta, gamma_bar)
+    same_sign = ~pole & ((re2a == 0.0) | (re2b == 0.0) | ((re2a > 0) == (re2b > 0)))
+    ok = ~(pole | same_sign)
+    with np.errstate(all="ignore"):  # the rows that are not ok are overwritten below
+        w_alpha = np.abs(re2b) / (np.abs(re2a) + np.abs(re2b))
+        w_beta = 1.0 - w_alpha
+        re_b1 = _mul(w_alpha, 0.0, re1a, im1a)[0] + _mul(w_beta, 0.0, re1b, im1b)[0]
+        im_b0 = _mul(w_alpha, 0.0, re0a, im0a)[1] + _mul(w_beta, 0.0, re0b, im0b)[1]
+        ratio = np.where(im_b0 != 0.0, re_b1 / im_b0,
+                         np.where(re_b1 != 0.0, np.copysign(math.inf, re_b1), math.nan))
+    columns = np.array([w_alpha, re_b1, im_b0, ratio])
+    columns[:, ~ok] = math.nan
+    return pole + 2 * same_sign, columns
+
+
 def merit_scan(spin, gamma: float, gamma_bar: float, delta_grid) -> list[MeritRow]:
     """Sweep the symmetric detuning imbalance around the central hyperfine line.
 
     For every delta in delta_grid the two detunings are e_mid +- delta; the
     tensor cancellation is solved and the vector-shift-to-loss ratio
     Re b1 / Im b0 recorded.  Infeasible points are kept as rows with a status
-    marker instead of being dropped.
+    marker instead of being dropped.  Every delta must be positive and finite;
+    the grid is checked before any row is computed.
+
+    The grid is evaluated as arrays, _BLOCK_ROWS rows at a time (_merit_block);
+    each row equals the one solve_tensor_cancellation and
+    combined_coefficients give at its two detunings, bit for bit.
     """
     spin = HalfInteger.coerce(spin)
-    e_mid = hf_energies(spin, gamma).e_mid
+    smalls = np.fromiter(map(float, delta_grid), dtype=float)
+    bad = ~((0.0 < smalls) & (smalls < math.inf))
+    if bad.any():
+        raise ValueError(
+            f"detuning imbalance must be positive and finite, got {float(smalls[bad][0])!r}"
+        )
     rows: list[MeritRow] = []
-    nan = float("nan")
-    for delta_small in delta_grid:
-        delta_small = float(delta_small)
-        if delta_small <= 0:
-            raise ValueError("detuning imbalance must be positive")
-        d_alpha = e_mid + delta_small
-        d_beta = e_mid - delta_small
-        try:
-            b_alpha, b_beta = _b_pair(spin, gamma, d_alpha, d_beta, gamma_bar)
-            w_alpha, w_beta = _cancelling_weights(b_alpha, b_beta)
-        except PoleProximityError:
-            rows.append(MeritRow(delta_small, nan, nan, nan, nan, "pole"))
-            continue
-        except CancellationInfeasibleError:
-            rows.append(MeritRow(delta_small, nan, nan, nan, nan, "same-sign"))
-            continue
-        combined = _weighted_sum(w_alpha, w_beta, b_alpha, b_beta)
-        re_b1 = combined.c1.real
-        im_b0 = combined.c0.imag
-        if im_b0 != 0.0:
-            ratio = re_b1 / im_b0
-        else:
-            ratio = math.copysign(math.inf, re_b1) if re_b1 != 0.0 else nan
-        rows.append(MeritRow(delta_small, w_alpha, re_b1, im_b0, ratio, "ok"))
+    for start in range(0, len(smalls), _BLOCK_ROWS):
+        small = smalls[start:start + _BLOCK_ROWS]
+        codes, columns = _merit_block(spin, gamma, gamma_bar, small)
+        rows += [MeritRow(d, w, b1, b0, r, _MERIT_STATUS[c]) for d, w, b1, b0, r, c
+                 in zip(small.tolist(), *columns.tolist(), codes.tolist())]
     return rows
 
 

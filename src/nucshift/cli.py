@@ -46,10 +46,13 @@ from .field_configs import (
     assemble_heff,
     field_at,
 )
-from .hyperfine import AtomParams, derive_constants
+from .hyperfine import AtomParams, derive_constants, hf_energies
 from .shift_coefficients import (
+    _BLOCK_ROWS,
     ComplexDetuning,
     PoleProximityError,
+    _b_columns,
+    _near_pole,
     a_coefficients,
     b_coefficients,
     offpole_grid,
@@ -344,9 +347,7 @@ def _build_field(spec: FieldSpec):
 
 
 def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # canonicalize the negative zero
-    return f"{x:.17g}"
+    return f"{x + 0.0:.17g}"  # + 0.0 turns the negative zero into 0
 
 
 def _pair(z: complex) -> list[float]:
@@ -366,31 +367,39 @@ def _json_text(payload: dict) -> str:
 
 SCAN_HEADER = "delta_bar,re_b0,im_b0,re_b1,im_b1,re_b2,im_b2,status"
 BICHROMATIC_HEADER = "delta_small_bar,w_alpha,re_b1_sum,im_b0_sum,ratio,status"
+# one data line, each float as _fmt renders it once + 0.0 has been added
+_SCAN_ROW = "%.17g," * 7 + "%s\n"
+_BICHROMATIC_ROW = "%.17g," * 5 + "%s\n"
+_SCAN_STATUS = ("ok", "pole")
 
 
 def run_scan(config: RunConfig) -> str:
     """Coefficient scan over an ascending detuning grid, rendered as CSV text.
 
     Pole rows carry nan cells; a row off the poles whose coefficients are not
-    finite raises NonFiniteResultError instead of being written.
+    finite raises NonFiniteResultError instead of being written.  The grid is
+    evaluated _BLOCK_ROWS rows at a time by the array kernel _b_columns, so
+    every row equals b_coefficients at its detuning rendered through _fmt.
     """
     spin, gamma, gamma_bar = resolve_spin_gamma(config)
     if config.delta_min is None or config.steps is None:
         raise ConfigError("delta_min/delta_max/steps: required for scan")
     grid = np.linspace(config.delta_min, config.delta_max, config.steps)
-    lines = [SCAN_HEADER]
-    for delta_bar in grid:
-        try:
-            bset = b_coefficients(spin, gamma, ComplexDetuning.of(float(delta_bar), gamma_bar))
-        except PoleProximityError:
-            b, status = (complex(math.nan, math.nan),) * 3, "pole"
-        else:
-            b, status = (bset.c0, bset.c1, bset.c2), "ok"
-            if not all(map(cmath.isfinite, b)):  # only pole rows may carry nan
-                raise NonFiniteResultError(f"result is not finite at delta_bar = {_fmt(delta_bar)}")
-        values = [float(delta_bar)] + [part for z in b for part in (z.real, z.imag)]
-        lines.append(",".join(_fmt(v) for v in values) + f",{status}")
-    return "\n".join(lines) + "\n"
+    levels = hf_energies(spin, gamma)
+    lines = [SCAN_HEADER + "\n"]
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        delta = grid[start:start + _BLOCK_ROWS]
+        # the scalar guard applies to lossless detunings only
+        pole = _near_pole(delta, levels) if gamma_bar == 0.0 else np.zeros(len(delta), bool)
+        cells = np.array(_b_columns(spin, gamma, delta, gamma_bar))
+        cells[:, pole] = math.nan
+        bad = ~pole & ~np.isfinite(cells).all(axis=0)  # only pole rows may carry nan
+        if bad.any():
+            raise NonFiniteResultError(
+                f"result is not finite at delta_bar = {_fmt(delta[bad.argmax()])}")
+        values = (np.vstack((delta, cells)) + 0.0).T.tolist()
+        lines += [_SCAN_ROW % (*row, _SCAN_STATUS[p]) for row, p in zip(values, pole.tolist())]
+    return "".join(lines)
 
 
 def _run_coeffs(config: RunConfig) -> tuple[str, int]:
@@ -461,12 +470,11 @@ def _run_bichromatic(config: RunConfig) -> tuple[str, int]:
         hi = config.delta_small_max if config.delta_small_max is not None else 5.0
         n = config.delta_small_steps if config.delta_small_steps is not None else 91
         grid = np.linspace(lo, hi, n)
-        rows = merit_scan(spin, gamma, gamma_bar, grid)
-        lines = [BICHROMATIC_HEADER]
-        for row in rows:
-            values = [row.delta_small, row.w_alpha, row.re_b1_sum, row.im_b0_sum, row.ratio]
-            lines.append(",".join(_fmt(v) for v in values) + f",{row.status}")
-        return "\n".join(lines) + "\n", 0
+        lines = [BICHROMATIC_HEADER + "\n"]
+        lines += [_BICHROMATIC_ROW % (r.delta_small + 0.0, r.w_alpha + 0.0, r.re_b1_sum + 0.0,
+                                      r.im_b0_sum + 0.0, r.ratio + 0.0, r.status)
+                  for r in merit_scan(spin, gamma, gamma_bar, grid)]
+        return "".join(lines), 0
     if config.delta_alpha is None or config.delta_beta is None:
         raise ConfigError("delta_alpha/delta_beta: required for bichromatic without scan")
     w_alpha, w_beta = solve_tensor_cancellation(

@@ -93,13 +93,20 @@ class PolarizabilitySet:
         return np.array([self.c0, self.c1, self.c2], dtype=complex)
 
 
+def _near_pole(delta_bar, energies):
+    """Whether the real detuning lies within POLE_EPSILON of a level; elementwise for an array."""
+    return ((abs(delta_bar - energies.e_lower) <= POLE_EPSILON)
+            | (abs(delta_bar - energies.e_mid) <= POLE_EPSILON)
+            | (abs(delta_bar - energies.e_upper) <= POLE_EPSILON))
+
+
 def _check_real_poles(delta_bar: float, energies) -> None:
     """Raise PoleProximityError when the real detuning lies within POLE_EPSILON of a level."""
-    for e in energies.as_tuple():
-        if abs(delta_bar - e) <= POLE_EPSILON:
-            raise PoleProximityError(
-                f"detuning {delta_bar} within {POLE_EPSILON} of hyperfine pole at {e}"
-            )
+    if _near_pole(delta_bar, energies):
+        pole = min(energies.as_tuple(), key=lambda e: abs(delta_bar - e))
+        raise PoleProximityError(
+            f"detuning {delta_bar} within {POLE_EPSILON} of hyperfine pole at {pole}"
+        )
 
 
 def _check_poles(detuning: ComplexDetuning, energies) -> None:
@@ -149,6 +156,73 @@ def b_coefficients(spin, gamma: float, delta) -> PolarizabilitySet:
     b1 = (2.0 * e_mid * (d - e_mid) + tensor_num) / (2.0 * three_pole)
     b2 = tensor_num / (2.0 * three_pole)
     return PolarizabilitySet(form=CoeffForm.B_FORM, c0=b0, c1=b1, c2=b2)
+
+
+#: Rows per block of the array kernel: large enough to amortize numpy's per-call
+#: cost, small enough that a block's temporaries and formatted text stay small.
+_BLOCK_ROWS = 2048
+
+
+def _mul(ar, ai, br, bi):
+    """CPython's complex product of (ar + i ai) and (br + i bi), on floats or float64 arrays."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, br, bi):
+    """CPython's complex quotient of (ar + i ai) by (br + i bi), on floats or float64 arrays.
+
+    This is _Py_c_quot step by step: it scales by the larger divisor part
+    and divides by denom (numpy's complex division multiplies by 1/denom, which
+    moves last bits).  A zero divisor, where CPython raises ZeroDivisionError,
+    gives nan.
+    """
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio_r = bi / br
+    denom_r = br + bi * ratio_r
+    ratio_i = br / bi
+    denom_i = br * ratio_i + bi
+    # the second branch also covers a nan divisor, where both give nan
+    return (np.where(by_real, (ar + ai * ratio_r) / denom_r, (ar * ratio_i + ai) / denom_i),
+            np.where(by_real, (ai - ar * ratio_r) / denom_r, (ai * ratio_i - ar) / denom_i))
+
+
+def _b_columns(spin, gamma: float, delta_bar, gamma_bar: float) -> tuple[np.ndarray, ...]:
+    """b_coefficients over an array of real detunings: Re b0, Im b0, Re b1, Im b1, Re b2, Im b2.
+
+    Every value equals, bit for bit, what b_coefficients returns at
+    ComplexDetuning.of(delta_bar[k], gamma_bar).  The kernel evaluates the
+    same expressions in the same order on float64 (re, im) pairs, following
+    CPython's complex rules: a float operand x becomes complex(x, 0.0), so its
+    0.0 imaginary part enters every product, sum and difference, and _div
+    mirrors CPython's division.  These are the mixed-mode rules of CPython up
+    to 3.13; tests/test_array_kernel.py asserts the equality and fails if an
+    interpreter changes them.
+
+    There is no pole guard: rows on a pole hold whatever the formulas give,
+    and the caller masks them with _near_pole.
+    """
+    spin = HalfInteger.coerce(spin)
+    en = hf_energies(spin, gamma)
+    e_lo, e_mid, e_up = en.as_tuple()
+    ibar2 = spin.value * (spin.value + 1.0)
+    dr = np.asarray(delta_bar, dtype=float)
+    di = -gamma_bar if gamma_bar != 0.0 else 0.0  # Im of ComplexDetuning.of
+    with np.errstate(all="ignore"):  # overflow and pole rows stay silent, as in the scalar path
+        e_plus = ((e_up + e_mid + e_lo) / 2.0 - dr, 0.0 - di)
+        e_minus = ((e_up - e_mid + e_lo) / 2.0 - dr, 0.0 - di)
+        g_re, g_im = _mul(gamma, 0.0, *e_minus)
+        tensor_num = (g_re - e_mid * e_mid, g_im - 0.0)
+        d_mid = (dr - e_mid, di - 0.0)
+        three_pole = _mul(*_mul(dr - e_up, di - 0.0, *d_mid), dr - e_lo, di - 0.0)
+
+        s_re, s_im = _mul(*_mul(-3.0, 0.0, *e_plus), *d_mid)
+        t_re, t_im = _mul(ibar2, 0.0, *tensor_num)
+        b0 = _div(s_re + t_re, s_im + t_im, *_mul(3.0, 0.0, *three_pole))
+        two_three_pole = _mul(2.0, 0.0, *three_pole)
+        v_re, v_im = _mul(2.0 * e_mid, 0.0, *d_mid)
+        b1 = _div(v_re + tensor_num[0], v_im + tensor_num[1], *two_three_pole)
+        b2 = _div(*tensor_num, *two_three_pole)
+    return (*b0, *b1, *b2)
 
 
 def to_b_form(aset: PolarizabilitySet, spin) -> PolarizabilitySet:

@@ -200,6 +200,12 @@ class TestMeritScan:
         with pytest.raises(ValueError):
             merit_scan(SPIN92, GAMMA, 3e-5, [0.0])
 
+    @pytest.mark.parametrize("grid", [[math.nan], [math.inf], [-math.inf], [1.0, math.nan, math.inf]])
+    def test_rejects_non_finite_imbalance(self, grid):
+        # nan <= 0 is False, so a sign test alone let these through as same-sign rows
+        with pytest.raises(ValueError, match="positive and finite"):
+            merit_scan(SPIN92, GAMMA, 3e-5, grid)
+
     def test_local_optimum_location(self):
         rows = merit_scan(SPIN92, GAMMA, 3e-5, np.linspace(0.5, 5.0, 91))
         peaks = local_ratio_optima(rows)

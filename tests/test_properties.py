@@ -1,0 +1,80 @@
+"""Physics invariants as properties over random spins, quadrupole ratios and detunings.
+
+Spins run over 2i + 1 <= 22, gamma over [0, 0.01] and delta - i*gamma_bar over
+delta in [-15, 15], at least CLEARANCE from every hyperfine level, with
+gamma_bar = 0 or in [1e-6, 1e-2].  The tolerances are the ones the
+example-based tests already use; these tests add coverage and replace none.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nucshift import (
+    ComplexDetuning,
+    HalfInteger,
+    a_coefficients,
+    assemble_heff,
+    b_coefficients,
+    hf_energies,
+    make_spin_operators,
+    oracle_vs_analytic_deviation,
+    to_b_form,
+)
+from nucshift.cli import ORACLE_DIFF_THRESHOLD
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+CLEARANCE = 0.05  # offpole_grid's default distance from the poles
+
+gamma_bars = st.one_of(st.just(0.0), st.floats(1e-6, 1e-2))
+
+
+@st.composite
+def off_pole(draw, min_twice: int = 1):
+    """(spin, gamma, delta) with delta at least CLEARANCE from every level."""
+    spin = HalfInteger(draw(st.integers(min_twice, 21)))
+    gamma = draw(st.floats(0.0, 0.01))
+    delta = draw(st.floats(-15.0, 15.0))
+    assume(min(abs(delta - e) for e in hf_energies(spin, gamma).as_tuple()) >= CLEARANCE)
+    return spin, gamma, delta
+
+
+def clear_of_zero_crossings(values: np.ndarray) -> bool:
+    # a per-component relative measure is ill-posed where one coefficient
+    # crosses zero, so such points are drawn again
+    magnitudes = np.abs(values)
+    return magnitudes.min() > 1e-6 * magnitudes.max()
+
+
+@PROPERTY
+@given(off_pole(min_twice=2), gamma_bars)
+def test_closed_forms_match_oracle(point, gamma_bar):
+    # from i = 1 up: at i = 1/2 the tensor basis vanishes and the oracle's b2 is nan
+    spin, gamma, delta = point
+    analytic = b_coefficients(spin, gamma, ComplexDetuning.of(delta, gamma_bar)).as_array()
+    assume(clear_of_zero_crossings(analytic))
+    deviation = oracle_vs_analytic_deviation(spin, gamma, [delta], gamma_bar)
+    assert deviation <= ORACLE_DIFF_THRESHOLD
+
+
+@PROPERTY
+@given(off_pole(), gamma_bars)
+def test_a_form_maps_to_b_form(point, gamma_bar):
+    spin, gamma, delta = point
+    det = ComplexDetuning.of(delta, gamma_bar)
+    direct = b_coefficients(spin, gamma, det).as_array()
+    mapped = to_b_form(a_coefficients(spin, gamma, det), spin).as_array()
+    assume(clear_of_zero_crossings(direct))
+    assert (np.abs(mapped - direct) / np.abs(direct)).max() <= 1e-12
+    assert np.abs(mapped - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
+@PROPERTY
+@given(off_pole(), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_heff_hermitian_without_losses(point, parts):
+    spin, gamma, delta = point
+    e = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    ops = make_spin_operators(spin)
+    for coeffs in (b_coefficients(spin, gamma, delta), a_coefficients(spin, gamma, delta)):
+        h = assemble_heff(coeffs, e, ops).matrix
+        assert np.abs(h - h.conj().T).max() <= 1e-13
