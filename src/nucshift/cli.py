@@ -10,9 +10,9 @@ significant digits.
 Exit codes: 0 success, 1 oracle-diff threshold failure or I/O error, 2 input
 error (every one, with one JSON line on stderr: non-finite numbers, a
 non-positive beam amplitude or wavenumber, an oracle-diff grid too crowded
-with poles and atom constants that overflow included), 3 numeric-domain error
-(pole proximity, or a non-finite result, which is never written out), 4
-infeasible tensor cancellation.
+with poles, a grid of more than MAX_GRID_ROWS rows and atom constants that
+overflow included), 3 numeric-domain error (pole proximity, or a non-finite
+result, which is never written out), 4 infeasible tensor cancellation.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ from .spin_algebra import DEFAULT_MAX_DIMENSION, HalfInteger, make_spin_operator
 
 TWO_PI = 2.0 * math.pi
 ORACLE_DIFF_THRESHOLD = 1e-10
+# Largest grid (steps, delta_small_steps) a run accepts; a scan of this many
+# rows peaks near 430 MB, since the CSV text is held in memory.
+MAX_GRID_ROWS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -242,14 +245,16 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("spin_twice: must be at least 1")
     if config.spin_twice is not None and config.spin_twice > sys.float_info.max:
         raise ConfigError("spin_twice: must not exceed the largest float")
-    if config.steps is not None and config.steps < 1:
-        raise ConfigError("steps: must be at least 1")
+    for key in ("steps", "delta_small_steps"):
+        rows = getattr(config, key)
+        if rows is not None and rows < 1:
+            raise ConfigError(f"{key}: must be at least 1")
+        if rows is not None and rows > MAX_GRID_ROWS:
+            raise ConfigError(f"{key}: must be at most {MAX_GRID_ROWS}, got {rows}")
     if (config.delta_min is None) != (config.delta_max is None):
         raise ConfigError("delta_min/delta_max: both must be given")
     if config.delta_min is not None and not config.delta_min < config.delta_max:
         raise ConfigError("delta_min: must be strictly below delta_max")
-    if config.delta_small_steps is not None and config.delta_small_steps < 1:
-        raise ConfigError("delta_small_steps: must be at least 1")
     if (config.delta_small_min is None) != (config.delta_small_max is None):
         raise ConfigError("delta_small_min/delta_small_max: both must be given")
     if (config.delta_small_min is not None

@@ -126,19 +126,40 @@ def field_at(config: FieldConfig, position, time: float = 0.0) -> np.ndarray:
     raise TypeError(f"unknown field configuration {type(config).__name__}")
 
 
-def _b_parts(b: PolarizabilitySet, e: np.ndarray, ops: SpinOperators) -> HeffParts:
-    eye = np.eye(ops.dimension, dtype=complex)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the same array ufuncs np.cross runs, so bit-identical to it, without its
+    # axis handling; indexing component by component as Python scalars is not
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+
+
+class _FieldTerms(NamedTuple):
+    intensity: complex
+    cross_dot_i: np.ndarray     # (E* x E) . I
+    e_dot_i: np.ndarray
+    econj_dot_i: np.ndarray
+    econj_i_e_i: np.ndarray     # (E* . I)(E . I)
+
+
+def _field_terms(e: np.ndarray, ops: SpinOperators) -> _FieldTerms:
+    """The field-dependent operators both coefficient forms are built from."""
     e_conj = e.conj()
-    intensity = complex(e_conj @ e)
-    cross = np.cross(e_conj, e)
     e_dot_i = sum(ec * op for ec, op in zip(e, ops.vector()))
     econj_dot_i = sum(ec * op for ec, op in zip(e_conj, ops.vector()))
+    return _FieldTerms(
+        intensity=complex(e_conj @ e),
+        cross_dot_i=sum(c * op for c, op in zip(_cross(e_conj, e), ops.vector())),
+        e_dot_i=e_dot_i,
+        econj_dot_i=econj_dot_i,
+        econj_i_e_i=econj_dot_i @ e_dot_i,
+    )
 
-    scalar = (b.c0 / 4.0) * intensity * eye
-    vector = (1j * b.c1 / 4.0) * sum(c * op for c, op in zip(cross, ops.vector()))
+
+def _b_parts(b: PolarizabilitySet, terms: _FieldTerms, ops: SpinOperators) -> HeffParts:
+    scalar = (b.c0 / 4.0) * terms.intensity * ops.eye
+    vector = (1j * b.c1 / 4.0) * terms.cross_dot_i
     tensor = (b.c2 / 4.0) * (
-        econj_dot_i @ e_dot_i + e_dot_i @ econj_dot_i
-        - (2.0 / 3.0) * intensity * ops.total_squared()
+        terms.econj_i_e_i + terms.e_dot_i @ terms.econj_dot_i
+        - (2.0 / 3.0) * terms.intensity * ops.total_squared()
     )
     return HeffParts(scalar=scalar, vector=vector, tensor=tensor)
 
@@ -156,24 +177,19 @@ def assemble_heff(coeffs: PolarizabilitySet, e, ops: SpinOperators) -> Effective
     if e.shape != (3,):
         raise ValueError("field must be a complex 3-vector")
     units = HeffUnits.PHYSICAL if coeffs.dimensional else HeffUnits.DIMENSIONLESS
+    terms = _field_terms(e, ops)
 
     if coeffs.form is CoeffForm.B_FORM:
-        parts = _b_parts(coeffs, e, ops)
+        parts = _b_parts(coeffs, terms, ops)
         matrix = parts.scalar + parts.vector + parts.tensor
         return EffectiveHamiltonian(matrix=matrix, parts=parts, units=units)
 
-    eye = np.eye(ops.dimension, dtype=complex)
-    e_conj = e.conj()
-    intensity = complex(e_conj @ e)
-    cross = np.cross(e_conj, e)
-    e_dot_i = sum(ec * op for ec, op in zip(e, ops.vector()))
-    econj_dot_i = sum(ec * op for ec, op in zip(e_conj, ops.vector()))
     matrix = (
-        (coeffs.c0 / 4.0) * intensity * eye
-        + (1j * coeffs.c1 / 4.0) * sum(c * op for c, op in zip(cross, ops.vector()))
-        + (coeffs.c2 / 4.0) * (econj_dot_i @ e_dot_i)
+        (coeffs.c0 / 4.0) * terms.intensity * ops.eye
+        + (1j * coeffs.c1 / 4.0) * terms.cross_dot_i
+        + (coeffs.c2 / 4.0) * terms.econj_i_e_i
     )
-    parts = _b_parts(to_b_form(coeffs, ops.spin), e, ops)
+    parts = _b_parts(to_b_form(coeffs, ops.spin), terms, ops)
     return EffectiveHamiltonian(matrix=matrix, parts=parts, units=units)
 
 
@@ -195,23 +211,19 @@ def counterprop_components(b: PolarizabilitySet, amplitude: float, k: float, z: 
     """
     if b.form is not CoeffForm.B_FORM:
         raise ValueError("counterprop_components expects b-form coefficients")
-    eye = np.eye(ops.dimension, dtype=complex)
     amp_sq = amplitude * amplitude
     i_sq = ops.total_squared()
 
-    h0 = (amp_sq / 4.0) * b.c0 * eye
+    h0 = (amp_sq / 4.0) * b.c0 * ops.eye
     h1 = (amp_sq / 4.0) * b.c1 * math.sin(2.0 * k * z) * ops.iz
 
-    ix_rot = (ops.ix - ops.iy) / math.sqrt(2.0)
-    iy_rot = (ops.ix + ops.iy) / math.sqrt(2.0)
     cos_kz = math.cos(k * z)
     sin_kz = math.sin(k * z)
     h2 = 0.5 * b.c2 * amp_sq * (
-        cos_kz**2 * (iy_rot @ iy_rot) + sin_kz**2 * (ix_rot @ ix_rot) - i_sq / 3.0
+        cos_kz**2 * ops.iy_rot_sq + sin_kz**2 * ops.ix_rot_sq - i_sq / 3.0
     )
-    anticomm = ops.ix @ ops.iy + ops.iy @ ops.ix
     h2_lab = 0.5 * b.c2 * amp_sq * (
-        i_sq / 6.0 - (ops.iz @ ops.iz) / 2.0 + 0.5 * math.cos(2.0 * k * z) * anticomm
+        i_sq / 6.0 - ops.iz_sq / 2.0 + 0.5 * math.cos(2.0 * k * z) * ops.ixy_anticomm
     )
     return CounterPropComponents(h0=h0, h1=h1, h2=h2, h2_lab=h2_lab)
 
@@ -233,7 +245,7 @@ def soc_components(b: PolarizabilitySet, amplitude: float, k: float, delta_omega
     h1 = -(amp_sq / 8.0) * b.c1 * (ops.iz - math.sqrt(2.0) * ixy)
     anticomm = ixy @ ops.iz + ops.iz @ ixy
     h2 = -(amp_sq / 4.0) * b.c2 * (
-        ops.total_squared() / 6.0 - (ops.iz @ ops.iz) / 2.0 - anticomm / math.sqrt(2.0)
+        ops.total_squared() / 6.0 - ops.iz_sq / 2.0 - anticomm / math.sqrt(2.0)
     )
     return h1, h2
 

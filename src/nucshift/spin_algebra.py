@@ -8,7 +8,7 @@ all functions are pure, so the module is safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -69,20 +69,52 @@ class HalfInteger:
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Dense spin matrices ix, iy, iz for one angular momentum, basis ascending in m."""
+    """Dense spin matrices ix, iy, iz for one angular momentum, basis ascending in m.
+
+    The spin-only products the Hamiltonian assembly reuses are built once, at
+    construction: the complex identity ``eye``, ``iz_sq`` = I_z^2, the
+    anticommutator ``ixy_anticomm`` = {I_x, I_y}, the squares ``ix_rot_sq`` and
+    ``iy_rot_sq`` of the rotated operators (I_x - I_y)/sqrt(2) and
+    (I_x + I_y)/sqrt(2), and I^2, which total_squared() returns.  These
+    arrays, and ix, iy, iz as make_spin_operators builds them, are shared by
+    every caller that holds this object and are read-only: writing into one
+    raises ValueError.
+    """
 
     spin: HalfInteger
     dimension: int
     ix: np.ndarray
     iy: np.ndarray
     iz: np.ndarray
+    eye: np.ndarray = field(init=False, repr=False, compare=False)
+    iz_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    ixy_anticomm: np.ndarray = field(init=False, repr=False, compare=False)
+    ix_rot_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    iy_rot_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _i_sq: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ix, iy, iz = self.ix, self.iy, self.iz
+        ix_rot = (ix - iy) / math.sqrt(2.0)
+        iy_rot = (ix + iy) / math.sqrt(2.0)
+        products = {
+            "eye": np.eye(self.dimension, dtype=complex),
+            "iz_sq": iz @ iz,
+            "ixy_anticomm": ix @ iy + iy @ ix,
+            "ix_rot_sq": ix_rot @ ix_rot,
+            "iy_rot_sq": iy_rot @ iy_rot,
+            "_i_sq": ix @ ix + iy @ iy + iz @ iz,
+        }
+        for name, matrix in products.items():
+            matrix.setflags(write=False)
+            object.__setattr__(self, name, matrix)
 
     def vector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.ix, self.iy, self.iz)
 
     def total_squared(self) -> np.ndarray:
         """ix^2 + iy^2 + iz^2; equals i(i+1) times the identity up to rounding."""
-        return self.ix @ self.ix + self.iy @ self.iy + self.iz @ self.iz
+        return self._i_sq
 
     def m_values(self) -> np.ndarray:
         i = self.spin.value
@@ -117,6 +149,8 @@ def make_spin_operators(spin, max_dimension: int = DEFAULT_MAX_DIMENSION) -> Spi
     lowering = raising.conj().T
     ix = (raising + lowering) / 2.0
     iy = (raising - lowering) / 2.0j
+    for op in (ix, iy, iz):
+        op.setflags(write=False)  # the cached products are only valid for these values
     return SpinOperators(spin=spin, dimension=dim, ix=ix, iy=iy, iz=iz)
 
 

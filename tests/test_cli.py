@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -215,6 +216,46 @@ class TestHeff:
             want = (bset.c0 - bset.c1 * m - bset.c2 * (m * m - ibar2 / 3.0)) / 4.0
             assert matrix[k, k] == pytest.approx(want, abs=1e-13)
 
+    # SHA-256 of the heff output at i = 9/2 for every [field] kind, lossy and
+    # lossless: a rewrite of the assembly must leave these bytes as they are
+    FIELDS = {
+        "single_linear": "amplitude = 1.3\nwavenumber = 2\nposition = 0.1, 0.4, -0.9\n",
+        "single_circular": "amplitude = 1.3\nwavenumber = 2\nhandedness = -\n"
+                           "position = 0.1, 0.4, -0.9\n",
+        "counterprop_cross": "amplitude = 1.3\nwavenumber = 2\nposition = 0.1, 0.4, -0.9\n",
+        "perpendicular_soc": "amplitude = 1.3\nwavenumber = 2\ndelta_omega = 0.05\n"
+                             "position = 0.1, 0.4, -0.9\ntime = 1.3\n",
+        "raw": "e = 0.3, 0, -0.5+0.2j\n",
+    }
+    DIGESTS = [
+        ("single_linear", "0", "f0aecb65af714bba1e76a3f0b838f50315898ef0cf1d9ff891a827f14f2af2d2"),
+        ("single_linear", "3e-05",
+         "141dc4c48d425abda0521b8135ae075b428b03c8576009e3585996b4066346b8"),
+        ("single_circular", "0",
+         "86e5399d855f96156834a490da7030a5e3f411d0222abad76ec120d9687b3212"),
+        ("single_circular", "3e-05",
+         "dd81305b1be022995ab07433213ab2df7db4d248dbb919921883dce22f3a4702"),
+        ("counterprop_cross", "0",
+         "8dca56beca70ed8ed77a23a0e310578d8edc16db9408404cfe40ccd52c4f5f0d"),
+        ("counterprop_cross", "3e-05",
+         "6566bc919b989db1b634a579a641e9f139588177363fd629cce4c5c2addc28bd"),
+        ("perpendicular_soc", "0",
+         "f7f56196e872f30366ba69cfc6386efa027735a608a22fbdb67b05d5d96883c2"),
+        ("perpendicular_soc", "3e-05",
+         "d2a93028d4242e4ab30a379aa6593d41932f48c96afe14fa8448370d7d45c1eb"),
+        ("raw", "0", "06a44b11c94ecf336ab53391660c064558770bc70f512896a2e55c9653119c49"),
+        ("raw", "3e-05", "f43ed88291a792c00f4326d8666e0fe41f9ce9feb1283c2fe8b2e7a3cdc6a497"),
+    ]
+
+    @pytest.mark.parametrize("kind,gamma_bar,digest", DIGESTS)
+    def test_output_bytes_are_pinned(self, kind, gamma_bar, digest, tmp_path):
+        path = tmp_path / "heff.cfg"
+        path.write_text(f"spin_twice = 9\ngamma = 0.0057\ngamma_bar = {gamma_bar}\n"
+                        f"delta_bar = -2.3\n[field]\nkind = {kind}\n{self.FIELDS[kind]}")
+        out = tmp_path / "heff.json"
+        assert main(["heff", "--config", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_json_round_trip_is_exact(self):
         config = parse_config(self.CONFIG)
         text, _ = run_subcommand("heff", config)
@@ -363,6 +404,10 @@ class TestMainExitCodes:
         ("oracle-diff", "atom = sr87\ndelta_min = -1.02\ndelta_max = -0.98\nsteps = 10\n", []),
         ("rephasing", "spin_twice = 9\nahf_prime_khz_over_2pi = 1e306\n", ["--delta-bar", "2"]),
         ("coeffs", f"spin_twice = {4 * 10**400}\ngamma = 0\ndelta_bar = 2\n", []),
+        # 10**12 rows would need terabytes: the cap must reject them before any array exists
+        ("scan", f"atom = sr87\ndelta_min = -3\ndelta_max = 3\nsteps = {10**12}\n", []),
+        ("oracle-diff", f"atom = sr87\nsteps = {10**12}\n", []),
+        ("bichromatic", f"atom = sr87\nscan = true\ndelta_small_steps = {10**12}\n", []),
     ]
 
     INPUT_ERROR_IDS = ["delta-bar-nan", "delta-bar-inf", "gamma-bar-nan", "delta-min-inf",
@@ -370,7 +415,8 @@ class TestMainExitCodes:
                        "dge-sq-negative", "ahf-vanishes", "linewidth-negative",
                        "heff-dimension-cap", "oracle-dimension-cap", "amplitude-negative",
                        "wavenumber-zero", "oracle-grid-crowded", "ahf-overflows",
-                       "spin-twice-huge"]
+                       "spin-twice-huge", "scan-grid-cap", "oracle-grid-cap",
+                       "merit-grid-cap"]
 
     @pytest.mark.parametrize("name,body,flags", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
     def test_input_errors_exit_2_with_one_json_line(self, name, body, flags, capsys, tmp_path):

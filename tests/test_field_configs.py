@@ -11,6 +11,7 @@ from nucshift import (
     HeffUnits,
     PerpendicularSoc,
     PolarizabilitySet,
+    PoleProximityError,
     RawVector,
     SingleCircular,
     SingleLinear,
@@ -24,6 +25,7 @@ from nucshift import (
     rotation_about_z,
     soc_components,
     soc_rotating_frame,
+    to_b_form,
     tuned_delta_omega,
 )
 
@@ -118,8 +120,6 @@ class TestAssembly:
         ops = make_spin_operators(spin)
         rng = np.random.default_rng(twice)
         aset = a_coefficients(spin, 0.0057 if twice > 1 else 0.0, 1.9)
-        from nucshift import to_b_form
-
         bset = to_b_form(aset, spin)
         for _ in range(5):
             e = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -304,3 +304,131 @@ class TestSpinOrbitCoupling:
             u1 = rotation_about_z(self.ops, -s0)  # exp(-i(kz-ky)Iz)
             unwound = u1 @ ixy_operator(self.ops, s0) @ u1.conj().T
             assert np.abs(unwound - self.ops.ix).max() <= 1e-12
+
+
+def _reference_b_parts(b, e, ops):
+    # the expressions assemble_heff used before the spin-only products were
+    # cached and the field terms shared: np.cross, I^2 rebuilt on each call
+    eye = np.eye(ops.dimension, dtype=complex)
+    e_conj = e.conj()
+    intensity = complex(e_conj @ e)
+    cross = np.cross(e_conj, e)
+    e_dot_i = sum(ec * op for ec, op in zip(e, ops.vector()))
+    econj_dot_i = sum(ec * op for ec, op in zip(e_conj, ops.vector()))
+    i_sq = ops.ix @ ops.ix + ops.iy @ ops.iy + ops.iz @ ops.iz
+    scalar = (b.c0 / 4.0) * intensity * eye
+    vector = (1j * b.c1 / 4.0) * sum(c * op for c, op in zip(cross, ops.vector()))
+    tensor = (b.c2 / 4.0) * (
+        econj_dot_i @ e_dot_i + e_dot_i @ econj_dot_i - (2.0 / 3.0) * intensity * i_sq
+    )
+    return scalar, vector, tensor
+
+
+def _reference_heff(coeffs, e, ops):
+    if coeffs.form is CoeffForm.B_FORM:
+        parts = _reference_b_parts(coeffs, e, ops)
+        return parts[0] + parts[1] + parts[2], parts
+    # the a-form branch wrote out its own copy of the field terms
+    eye = np.eye(ops.dimension, dtype=complex)
+    e_conj = e.conj()
+    intensity = complex(e_conj @ e)
+    cross = np.cross(e_conj, e)
+    e_dot_i = sum(ec * op for ec, op in zip(e, ops.vector()))
+    econj_dot_i = sum(ec * op for ec, op in zip(e_conj, ops.vector()))
+    matrix = (
+        (coeffs.c0 / 4.0) * intensity * eye
+        + (1j * coeffs.c1 / 4.0) * sum(c * op for c, op in zip(cross, ops.vector()))
+        + (coeffs.c2 / 4.0) * (econj_dot_i @ e_dot_i)
+    )
+    return matrix, _reference_b_parts(to_b_form(coeffs, ops.spin), e, ops)
+
+
+def _reference_counterprop(b, amplitude, k, z, ops):
+    eye = np.eye(ops.dimension, dtype=complex)
+    amp_sq = amplitude * amplitude
+    i_sq = ops.ix @ ops.ix + ops.iy @ ops.iy + ops.iz @ ops.iz
+    h0 = (amp_sq / 4.0) * b.c0 * eye
+    h1 = (amp_sq / 4.0) * b.c1 * math.sin(2.0 * k * z) * ops.iz
+    ix_rot = (ops.ix - ops.iy) / math.sqrt(2.0)
+    iy_rot = (ops.ix + ops.iy) / math.sqrt(2.0)
+    cos_kz = math.cos(k * z)
+    sin_kz = math.sin(k * z)
+    h2 = 0.5 * b.c2 * amp_sq * (
+        cos_kz**2 * (iy_rot @ iy_rot) + sin_kz**2 * (ix_rot @ ix_rot) - i_sq / 3.0
+    )
+    anticomm = ops.ix @ ops.iy + ops.iy @ ops.ix
+    h2_lab = 0.5 * b.c2 * amp_sq * (
+        i_sq / 6.0 - (ops.iz @ ops.iz) / 2.0 + 0.5 * math.cos(2.0 * k * z) * anticomm
+    )
+    return h0, h1, h2, h2_lab
+
+
+def _reference_soc(b, amplitude, k, delta_omega, position, time, ops):
+    _, y, z = (float(c) for c in position)
+    s = k * y - k * z - delta_omega * time
+    amp_sq = amplitude * amplitude
+    ixy = ixy_operator(ops, s)
+    h1 = -(amp_sq / 8.0) * b.c1 * (ops.iz - math.sqrt(2.0) * ixy)
+    anticomm = ixy @ ops.iz + ops.iz @ ixy
+    i_sq = ops.ix @ ops.ix + ops.iy @ ops.iy + ops.iz @ ops.iz
+    h2 = -(amp_sq / 4.0) * b.c2 * (
+        i_sq / 6.0 - (ops.iz @ ops.iz) / 2.0 - anticomm / math.sqrt(2.0)
+    )
+    return h1, h2
+
+
+def assert_same_bits(got, want):
+    got, want = got.view(float), want.view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # array_equal has -0.0 == 0.0
+
+
+class TestBitIdentityWithReference:
+    # Fields with exact zeros, signed zeros among them, make the sign of zero
+    # in the cross product and the operator sums part of the comparison.
+    ZERO_FIELDS = [
+        [0.0, 0.0, 1.3],
+        [0.0, -0.0, 1.3 + 0.0j],
+        [complex(-0.0, 0.0), 0.2, 0.0],
+        [0.7, 0.7j, 0.0],
+        [complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)],
+    ]
+
+    @pytest.mark.parametrize("twice", [1, 3, 9, 21])
+    @pytest.mark.parametrize("gamma_bar", [0.0, 1e-4])
+    def test_assembly_matches_previous_expressions(self, twice, gamma_bar):
+        spin = HalfInteger(twice)
+        ops = make_spin_operators(spin)
+        rng = np.random.default_rng(twice)
+        fields = [np.array(f, dtype=complex) for f in self.ZERO_FIELDS]
+        for _ in range(10):
+            e = rng.normal(size=3) + 1j * rng.normal(size=3)
+            e[rng.integers(3)] = 0.0
+            fields += [e, rng.normal(size=3) + 1j * rng.normal(size=3)]
+        for e in fields:
+            delta = rng.uniform(-12.0, 12.0)
+            gamma = rng.uniform(0.0, 0.01) if twice > 1 else 0.0
+            det = ComplexDetuning.of(delta, gamma_bar)
+            try:
+                sets = (b_coefficients(spin, gamma, det), a_coefficients(spin, gamma, det))
+            except PoleProximityError:
+                continue
+            for coeffs in sets:
+                heff = assemble_heff(coeffs, e, ops)
+                matrix, parts = _reference_heff(coeffs, e, ops)
+                assert_same_bits(heff.matrix, matrix)
+                for got, want in zip(heff.parts, parts):
+                    assert_same_bits(got, want)
+            bset = sets[0]
+            amp, k, d_omega = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), rng.uniform(-0.5, 0.5)
+            position, time = tuple(rng.uniform(-5.0, 5.0, size=3)), rng.uniform(0.0, 50.0)
+            for got, want in zip(counterprop_components(bset, amp, k, position[2], ops),
+                                 _reference_counterprop(bset, amp, k, position[2], ops)):
+                assert_same_bits(got, want)
+            for got, want in zip(soc_components(bset, amp, k, d_omega, position, time, ops),
+                                 _reference_soc(bset, amp, k, d_omega, position, time, ops)):
+                assert_same_bits(got, want)
+            h1, h2 = _reference_soc(bset, amp, k, d_omega, position, 0.0, ops)
+            for got, want in zip(soc_rotating_frame(bset, amp, k, d_omega, position, ops),
+                                 (h1 + d_omega * ops.iz, h2)):
+                assert_same_bits(got, want)

@@ -19,6 +19,7 @@ from nucshift import (
     hf_energies,
     make_spin_operators,
     oracle_vs_analytic_deviation,
+    rotation_about_z,
     to_b_form,
 )
 from nucshift.cli import ORACLE_DIFF_THRESHOLD
@@ -78,3 +79,40 @@ def test_heff_hermitian_without_losses(point, parts):
     for coeffs in (b_coefficients(spin, gamma, delta), a_coefficients(spin, gamma, delta)):
         h = assemble_heff(coeffs, e, ops).matrix
         assert np.abs(h - h.conj().T).max() <= 1e-13
+
+
+def spin_rotation(op: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i * angle * op) for a Hermitian spin matrix, through its eigenbasis."""
+    w, v = np.linalg.eigh(op)
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
+def field_rotation(axis: int, angle: float) -> np.ndarray:
+    """Proper rotation of a 3-vector by angle about coordinate axis 0, 1 or 2."""
+    c, s = np.cos(angle), np.sin(angle)
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    r = np.eye(3)
+    r[j, j], r[j, k], r[k, j], r[k, k] = c, -s, s, c
+    return r
+
+
+@PROPERTY
+@given(off_pole(), gamma_bars, st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.integers(0, 2), st.floats(-np.pi, np.pi))
+def test_heff_covariant_under_rotations(point, gamma_bar, parts, axis, angle):
+    # H(R.E) = U H(E) U^dagger with U = exp(-i angle I_axis), lossy or not
+    spin, gamma, delta = point
+    e = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    ops = make_spin_operators(spin)
+    if axis == 2:
+        u = rotation_about_z(ops, angle)
+    else:
+        u = spin_rotation(ops.vector()[axis], angle)
+    rotated = field_rotation(axis, angle) @ e
+    det = ComplexDetuning.of(delta, gamma_bar)
+    for coeffs in (b_coefficients(spin, gamma, det), a_coefficients(spin, gamma, det)):
+        h = assemble_heff(coeffs, e, ops).matrix
+        scale = np.abs(h).max()
+        assume(scale > 0.0)
+        want = u @ h @ u.conj().T
+        assert np.abs(assemble_heff(coeffs, rotated, ops).matrix - want).max() <= 1e-12 * scale

@@ -84,6 +84,34 @@ class TestSpinOperators:
         ops = make_spin_operators(HalfInteger(9))
         assert np.allclose(ops.total_squared(), 24.75 * np.eye(10), atol=1e-13)
 
+    @pytest.mark.parametrize("twice", [1, 9, 21])
+    def test_cached_products_are_read_only_and_rebuilt_equal(self, twice):
+        ops = make_spin_operators(HalfInteger(twice))
+        ix, iy, iz = ops.vector()
+        ix_rot, iy_rot = (ix - iy) / math.sqrt(2.0), (ix + iy) / math.sqrt(2.0)
+        expected = {
+            "total_squared": ix @ ix + iy @ iy + iz @ iz,
+            "eye": np.eye(ops.dimension, dtype=complex),
+            "iz_sq": iz @ iz,
+            "ixy_anticomm": ix @ iy + iy @ ix,
+            "ix_rot_sq": ix_rot @ ix_rot,
+            "iy_rot_sq": iy_rot @ iy_rot,
+            "ix": ix.copy(), "iy": iy.copy(), "iz": iz.copy(),
+        }
+
+        def matrix(source, name):
+            return source.total_squared() if name == "total_squared" else getattr(source, name)
+
+        again = make_spin_operators(HalfInteger(twice))
+        for name, want in expected.items():
+            assert np.array_equal(matrix(again, name), want), name
+            shared = matrix(ops, name)
+            assert np.array_equal(shared, want), name
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                shared += 1.0
+
     def test_rejects_zero_spin(self):
         with pytest.raises(ValueError):
             make_spin_operators(HalfInteger(0))
