@@ -25,9 +25,12 @@ from .shift_coefficients import (
     CoeffForm,
     ComplexDetuning,
     PolarizabilitySet,
-    b_coefficients,
+    _BLOCK_ROWS,
     _as_detuning,
+    _b_columns,
     _check_poles,
+    _check_real_poles,
+    _near_pole,
 )
 from .spin_algebra import HalfInteger, SpinOperators, clebsch_gordan, make_spin_operators
 
@@ -107,18 +110,30 @@ def _pole_tensors(spin_twice: int) -> dict[str, np.ndarray]:
     return out
 
 
+def _pole_sum(spin_twice: int, energies, values: np.ndarray) -> np.ndarray:
+    """Sum over the physical levels f of T_f / (delta_k - e_f), shape (B, 3, 3, N, N).
+
+    values holds B complex detunings.  The terms are added in the fixed pole
+    order, starting from zeros, so slice k is the tensor at values[k] with the
+    same arithmetic for any B.
+    """
+    levels = {"lower": energies.e_lower, "mid": energies.e_mid, "upper": energies.e_upper}
+    dim = spin_twice + 1
+    blocks = np.zeros((len(values), 3, 3, dim, dim), dtype=complex)
+    term = np.empty_like(blocks)
+    for label, tensor in _pole_tensors(spin_twice).items():
+        np.divide(tensor, (values - levels[label])[:, None, None, None, None], out=term)
+        blocks += term
+    return blocks
+
+
 def oracle_d_tensor(spin, gamma: float, delta) -> DTensor:
     """Light-shift tensor by explicit summation over the physical hyperfine levels."""
     spin = HalfInteger.coerce(spin)
     det = _as_detuning(delta)
     en = hf_energies(spin, gamma)
     _check_poles(det, en)
-    energies = {"lower": en.e_lower, "mid": en.e_mid, "upper": en.e_upper}
-    dim = spin.twice + 1
-    blocks = np.zeros((3, 3, dim, dim), dtype=complex)
-    for label, tensor in _pole_tensors(spin.twice).items():
-        blocks = blocks + tensor / (det.value - energies[label])
-    return DTensor(blocks=blocks)
+    return DTensor(blocks=_pole_sum(spin.twice, en, np.array([det.value]))[0])
 
 
 def _hs_inner(x_conj: np.ndarray, y: np.ndarray):
@@ -168,15 +183,12 @@ def _projection_basis(ops: SpinOperators) -> _ProjectionBasis:
     )
 
 
-def _project(d: DTensor, basis: _ProjectionBasis) -> tuple[PolarizabilitySet, float]:
-    b0 = np.einsum("ssmm->", d.blocks) / (3.0 * basis.dim)
-    b1 = _hs_inner(basis.vec_conj, d.blocks) / basis.vec_norm
-    b2 = _hs_inner(basis.tens_conj, d.blocks) / basis.tens_norm
-    recon = b0 * basis.identity + b1 * basis.vec_basis + b2 * basis.tens_basis
-    denom = np.linalg.norm(d.blocks)
-    residual = float(np.linalg.norm(d.blocks - recon) / denom) if denom > 0 else 0.0
-    pset = PolarizabilitySet(form=CoeffForm.B_FORM, c0=complex(b0), c1=complex(b1), c2=complex(b2))
-    return pset, residual
+def _project(blocks: np.ndarray, basis: _ProjectionBasis) -> tuple[np.ndarray, ...]:
+    """b0, b1, b2 of every tensor in a (B, 3, 3, N, N) stack, each an array of length B."""
+    b0 = np.einsum("bssmm->b", blocks) / (3.0 * basis.dim)
+    b1 = np.einsum("sqmn,bsqmn->b", basis.vec_conj, blocks) / basis.vec_norm
+    b2 = np.einsum("sqmn,bsqmn->b", basis.tens_conj, blocks) / basis.tens_norm
+    return b0, b1, b2
 
 
 def extract_b_from_d(d: DTensor, ops: SpinOperators) -> tuple[PolarizabilitySet, float]:
@@ -186,32 +198,71 @@ def extract_b_from_d(d: DTensor, ops: SpinOperators) -> tuple[PolarizabilitySet,
     the reconstruction.  Projection normalizations are computed from the
     operator traces rather than hard-coded, so a convention slip in the basis
     would show up as a nonzero residual instead of a silently wrong scale.
-    The basis depends on the spin alone; oracle_vs_analytic_deviation builds
-    it once per grid and projects every point onto it with the same
-    arithmetic, so both routes give bit-identical coefficients.
+    The projection is the one oracle_vs_analytic_deviation applies to its
+    blocks of detunings, so both routes give bit-identical coefficients.
     """
     if d.dimension != ops.dimension:
         raise ValueError("tensor and spin operators have mismatched dimensions")
-    return _project(d, _projection_basis(ops))
+    basis = _projection_basis(ops)
+    b0, b1, b2 = (c[0] for c in _project(d.blocks[None], basis))
+    recon = b0 * basis.identity + b1 * basis.vec_basis + b2 * basis.tens_basis
+    denom = np.linalg.norm(d.blocks)
+    residual = float(np.linalg.norm(d.blocks - recon) / denom) if denom > 0 else 0.0
+    pset = PolarizabilitySet(form=CoeffForm.B_FORM, c0=complex(b0), c1=complex(b1), c2=complex(b2))
+    return pset, residual
+
+
+#: Bytes of one (B, 3, 3, N, N) complex tensor stack in oracle_vs_analytic_deviation;
+#: _pole_sum holds two such stacks at a time.
+_ORACLE_BLOCK_BYTES = 256 * 1024
+
+
+def _stack_size(dim: int) -> int:
+    """Detunings B per tensor stack at dimension N: as many as fit the budget, at least 1."""
+    return max(1, _ORACLE_BLOCK_BYTES // (9 * dim * dim * np.dtype(complex).itemsize))
 
 
 def oracle_vs_analytic_deviation(spin, gamma: float, grid, gamma_bar: float = 0.0) -> float:
     """Worst relative disagreement of the closed forms against the CG summation.
 
     grid is an iterable of real dimensionless detunings; every point is
-    evaluated with the complex detuning delta - i*gamma_bar.
+    evaluated with the complex detuning delta - i*gamma_bar.  A point's
+    deviation is the largest of its three relative coefficient errors, and the
+    result is the Python max over the points starting from 0.0, which skips a
+    NaN point: at i = 1/2 the tensor basis vanishes, b2 is NaN, and the result
+    is 0.0.
+
+    The grid is evaluated in blocks, with no numpy call per point: the closed
+    forms come from _b_columns for _BLOCK_ROWS detunings at a time, and the
+    oracle tensors are built and projected in stacks of as many detunings as
+    fit in _ORACLE_BLOCK_BYTES.  Every coefficient equals, bit for bit, what
+    the per-point public route gives (b_coefficients against extract_b_from_d
+    of oracle_d_tensor), so the result equals that route's loop.  Memory is
+    bounded per block, not by the grid size.  At gamma_bar = 0 the first grid
+    point within POLE_EPSILON of a level raises PoleProximityError.
     """
     spin = HalfInteger.coerce(spin)
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
     basis = _projection_basis(make_spin_operators(spin))
+    ComplexDetuning.of(float(grid[0]), gamma_bar)  # validates gamma_bar for every point
+    en = hf_energies(spin, gamma)
+    step = _stack_size(basis.dim)
     worst = 0.0
-    for delta_bar in grid:
-        det = ComplexDetuning.of(float(delta_bar), gamma_bar)
-        analytic = b_coefficients(spin, gamma, det).as_array()
-        oracle, _ = _project(oracle_d_tensor(spin, gamma, det), basis)
-        reference = oracle.as_array()
+    for start in range(0, grid.size, _BLOCK_ROWS):
+        delta = grid[start:start + _BLOCK_ROWS]
+        if gamma_bar == 0.0:
+            near = _near_pole(delta, en)
+            if near.any():
+                _check_real_poles(float(delta[near.argmax()]), en)
+        values = delta.astype(complex)
+        values.imag = -gamma_bar if gamma_bar != 0.0 else 0.0  # as ComplexDetuning.of
+        analytic = np.stack(_b_columns(spin, gamma, delta, gamma_bar), axis=1).view(complex)
+        reference = np.concatenate([
+            np.stack(_project(_pole_sum(spin.twice, en, values[k:k + step]), basis), axis=1)
+            for k in range(0, len(values), step)])
         dev = np.abs(analytic - reference) / np.maximum(np.abs(reference), 1e-300)
-        worst = max(worst, float(dev.max()))
+        for point in dev.max(axis=1).tolist():
+            worst = max(worst, point)
     return worst

@@ -298,7 +298,11 @@ def resolve_atom(config: RunConfig) -> Optional[AtomParams]:
 
 
 def resolve_spin_gamma(config: RunConfig) -> tuple[HalfInteger, float, float]:
-    """(spin, gamma, gamma_bar) from the preset, explicit constants, or bare overrides."""
+    """(spin, gamma, gamma_bar) from the preset, explicit constants, or bare overrides.
+
+    At i = 1/2 the excited manifold has no quadrupole term (AtomParams forbids
+    B_hf there), so a nonzero gamma is an input error on every branch.
+    """
     atom = resolve_atom(config)
     if atom is not None:
         consts = derive_constants(atom)
@@ -308,13 +312,17 @@ def resolve_spin_gamma(config: RunConfig) -> tuple[HalfInteger, float, float]:
             gamma_bar = config.gamma_bar
         else:
             gamma_bar = atom.linewidth / abs(consts.a_hf)
-        return spin, gamma, gamma_bar
-    if config.spin_twice is None:
-        raise ConfigError("spin_twice: required (or give an atom preset)")
-    if config.gamma is None:
-        raise ConfigError("gamma: required without atom constants")
-    return (HalfInteger(config.spin_twice), config.gamma,
-            config.gamma_bar if config.gamma_bar is not None else 0.0)
+    else:
+        if config.spin_twice is None:
+            raise ConfigError("spin_twice: required (or give an atom preset)")
+        if config.gamma is None:
+            raise ConfigError("gamma: required without atom constants")
+        spin = HalfInteger(config.spin_twice)
+        gamma = config.gamma
+        gamma_bar = config.gamma_bar if config.gamma_bar is not None else 0.0
+    if spin.twice == 1 and gamma != 0.0:
+        raise ConfigError(f"gamma: must be 0 at spin_twice = 1, got {gamma!r}")
+    return spin, gamma, gamma_bar
 
 
 def _check_dimension(spin: HalfInteger) -> None:

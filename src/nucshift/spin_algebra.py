@@ -78,7 +78,9 @@ class SpinOperators:
     (I_x + I_y)/sqrt(2), and I^2, which total_squared() returns.  These
     arrays, and ix, iy, iz as make_spin_operators builds them, are shared by
     every caller that holds this object and are read-only: writing into one
-    raises ValueError.
+    raises ValueError.  Two objects are equal when spin, dimension and ix, iy,
+    iz are; the hash is that of (spin.twice, dimension), so an object can key
+    a dict.
     """
 
     spin: HalfInteger
@@ -108,6 +110,16 @@ class SpinOperators:
         for name, matrix in products.items():
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
+
+    def __eq__(self, other):
+        # the cached products follow from ix, iy, iz, so they are not compared
+        if not isinstance(other, SpinOperators):
+            return NotImplemented
+        return (self.spin == other.spin and self.dimension == other.dimension
+                and all(np.array_equal(a, b) for a, b in zip(self.vector(), other.vector())))
+
+    def __hash__(self):
+        return hash((self.spin.twice, self.dimension))
 
     def vector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.ix, self.iy, self.iz)

@@ -121,6 +121,11 @@ def scalar_merit_text(spin, gamma, gamma_bar, grid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cli_gamma(spin, gamma: float) -> float:
+    """The drawn gamma, or 0 at i = 1/2, the only value the CLI takes there."""
+    return gamma if spin.twice > 1 else 0.0
+
+
 def atom_keys(spin, gamma, gamma_bar) -> str:
     return f"spin_twice = {spin.twice}\ngamma = {gamma!r}\ngamma_bar = {gamma_bar!r}\n"
 
@@ -143,6 +148,7 @@ class TestScanText:
     @given(spins, gammas, gamma_bars, st.floats(-15.0, 0.0), st.floats(0.5, 15.0),
            st.integers(1, 200))
     def test_random_grids(self, spin, gamma, gamma_bar, lo, hi, steps):
+        gamma = cli_gamma(spin, gamma)
         want = scalar_scan_text(spin, gamma, gamma_bar, np.linspace(lo, hi, steps))
         assert scan_text(spin, gamma, gamma_bar, lo, hi, steps) == want
 
@@ -159,6 +165,7 @@ class TestMeritText:
     @given(spins, gammas, gamma_bars, st.floats(0.01, 1.0), st.floats(1.5, 15.0),
            st.integers(1, 150))
     def test_random_grids(self, spin, gamma, gamma_bar, lo, hi, steps):
+        gamma = cli_gamma(spin, gamma)
         want = scalar_merit_text(spin, gamma, gamma_bar, np.linspace(lo, hi, steps))
         assert merit_text(spin, gamma, gamma_bar, lo, hi, steps) == want
 

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from nucshift import (
     oracle_d_tensor,
     oracle_vs_analytic_deviation,
 )
+from nucshift.cg_oracle import _pole_tensors, _projection_basis, _stack_size
+from nucshift.shift_coefficients import _BLOCK_ROWS, POLE_EPSILON, PoleProximityError
 
 LEVIC = np.zeros((3, 3, 3))
 LEVIC[0, 1, 2] = LEVIC[1, 2, 0] = LEVIC[2, 0, 1] = 1.0
@@ -157,8 +161,9 @@ class TestOracleVsAnalytic:
 
 
 class TestOracleBitIdentity:
-    """The grid loop projects onto one basis per spin; the public per-point
-    route rebuilds it each time.  Both must give the same bits."""
+    """The grid path builds and projects blocks of detunings and takes the
+    closed forms from the array kernel; the public per-point route does one
+    point at a time.  Both must give the same bits, across block boundaries."""
 
     @staticmethod
     def point_by_point(spin, gamma, grid, gamma_bar):
@@ -180,6 +185,74 @@ class TestOracleBitIdentity:
         grid = offpole_grid(spin, gamma, n=120)
         got = oracle_vs_analytic_deviation(spin, gamma, grid, gamma_bar)
         assert got == self.point_by_point(spin, gamma, grid, gamma_bar)
+
+    @staticmethod
+    def block_sizes(twice):
+        b = _stack_size(twice + 1)
+        return sorted({1, max(b - 1, 1), b, b + 1, 2 * b + 1})
+
+    @pytest.mark.parametrize("gamma_bar", [0.0, 4e-5], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("twice", [9, 21], ids=["N-10", "N-22"])
+    def test_block_boundaries(self, twice, gamma_bar):
+        spin = HalfInteger(twice)
+        for size in self.block_sizes(twice):
+            grid = offpole_grid(spin, 0.0057, lo=-9.0, hi=7.5, n=size)
+            got = oracle_vs_analytic_deviation(spin, 0.0057, grid, gamma_bar)
+            assert got == self.point_by_point(spin, 0.0057, grid, gamma_bar), size
+
+    def test_grid_longer_than_one_closed_form_block(self):
+        spin = HalfInteger(9)
+        grid = offpole_grid(spin, 0.0057, n=_BLOCK_ROWS + 7)
+        got = oracle_vs_analytic_deviation(spin, 0.0057, grid, 3e-5)
+        assert got == self.point_by_point(spin, 0.0057, grid, 3e-5)
+
+    def test_spin_half_keeps_the_fold(self):
+        # b2 is NaN at i = 1/2 (no tensor basis); the fold from 0.0 skips it
+        spin = HalfInteger(1)
+        grid = offpole_grid(spin, 0.0, n=2 * _stack_size(2) + 1)
+        with pytest.warns(RuntimeWarning):
+            got = oracle_vs_analytic_deviation(spin, 0.0, grid, 0.0)
+        with pytest.warns(RuntimeWarning):
+            want = self.point_by_point(spin, 0.0, grid, 0.0)
+        assert got == want
+
+    def test_first_pole_in_grid_order_raises(self):
+        spin = HalfInteger(9)
+        en = hf_energies(spin, 0.0057)
+        b = _stack_size(spin.twice + 1)
+        first = en.e_mid + 0.5 * POLE_EPSILON
+        grid = np.concatenate([offpole_grid(spin, 0.0057, n=b + 2), [first, en.e_upper]])
+        with pytest.raises(PoleProximityError) as want:
+            oracle_d_tensor(spin, 0.0057, first)
+        with pytest.raises(PoleProximityError) as got:
+            oracle_vs_analytic_deviation(spin, 0.0057, grid, 0.0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("twice", [1, 9, 21])
+    def test_shared_build_and_projection_keep_the_scalar_arithmetic(self, twice):
+        # one tensor and one projection per point, as oracle-diff's output was
+        # first computed; the shared block code must reproduce its bits
+        spin = HalfInteger(twice)
+        ops = make_spin_operators(spin)
+        basis = _projection_basis(ops)
+        en = hf_energies(spin, 0.0)
+        levels = {"lower": en.e_lower, "mid": en.e_mid, "upper": en.e_upper}
+        for delta in offpole_grid(spin, 0.0, n=15):
+            for gamma_bar in (0.0, 4e-5):
+                det = ComplexDetuning.of(float(delta), gamma_bar)
+                want = np.zeros((3, 3, twice + 1, twice + 1), dtype=complex)
+                for label, tensor in _pole_tensors(twice).items():
+                    want = want + tensor / (det.value - levels[label])
+                got = oracle_d_tensor(spin, 0.0, det).blocks
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                # b2 at i = 1/2 is 0/0: the tensor basis vanishes
+                with pytest.warns(RuntimeWarning) if twice == 1 else nullcontext():
+                    coeffs = extract_b_from_d(DTensor(got), ops)[0].as_array()
+                    scalar = [np.einsum("ssmm->", want) / (3.0 * basis.dim),
+                              np.einsum("sqmn,sqmn->", basis.vec_conj, want) / basis.vec_norm,
+                              np.einsum("sqmn,sqmn->", basis.tens_conj, want) / basis.tens_norm]
+                assert np.array_equal(coeffs.view(np.uint64),
+                                      np.array(scalar, dtype=complex).view(np.uint64))
 
     def test_public_projection_still_checks_dimension(self):
         tensor = oracle_d_tensor(HalfInteger(9), 0.0057, 3.0)

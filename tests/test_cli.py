@@ -408,6 +408,10 @@ class TestMainExitCodes:
         ("scan", f"atom = sr87\ndelta_min = -3\ndelta_max = 3\nsteps = {10**12}\n", []),
         ("oracle-diff", f"atom = sr87\nsteps = {10**12}\n", []),
         ("bichromatic", f"atom = sr87\nscan = true\ndelta_small_steps = {10**12}\n", []),
+        # i = 1/2 has no quadrupole term, with bare overrides or explicit constants
+        ("coeffs", "spin_twice = 1\ngamma = 0.01\ndelta_bar = 2\n", []),
+        ("coeffs", "spin_twice = 1\nahf_prime_khz_over_2pi = 1000\ngamma = 0.01\n"
+                   "delta_bar = 2\n", []),
     ]
 
     INPUT_ERROR_IDS = ["delta-bar-nan", "delta-bar-inf", "gamma-bar-nan", "delta-min-inf",
@@ -416,7 +420,7 @@ class TestMainExitCodes:
                        "heff-dimension-cap", "oracle-dimension-cap", "amplitude-negative",
                        "wavenumber-zero", "oracle-grid-crowded", "ahf-overflows",
                        "spin-twice-huge", "scan-grid-cap", "oracle-grid-cap",
-                       "merit-grid-cap"]
+                       "merit-grid-cap", "spin-half-gamma", "spin-half-constants-gamma"]
 
     @pytest.mark.parametrize("name,body,flags", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
     def test_input_errors_exit_2_with_one_json_line(self, name, body, flags, capsys, tmp_path):
@@ -428,6 +432,15 @@ class TestMainExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config"
+
+    @pytest.mark.parametrize("constants", ["", "ahf_prime_khz_over_2pi = 1000\n"])
+    def test_spin_half_takes_gamma_zero_only(self, constants, capsys, tmp_path):
+        path = tmp_path / "half.cfg"
+        path.write_text(f"spin_twice = 1\n{constants}gamma = 0.01\ndelta_bar = 2\n")
+        assert main(["coeffs", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith("gamma:")
+        path.write_text(f"spin_twice = 1\n{constants}gamma = 0\ndelta_bar = 2\n")
+        assert main(["coeffs", "--config", str(path)]) == 0
 
     def test_flags_merge(self, capsys):
         assert main(["rephasing", "--atom", "sr87", "--delta-bar", "3"]) == 0

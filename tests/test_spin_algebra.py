@@ -112,6 +112,17 @@ class TestSpinOperators:
             with pytest.raises(ValueError, match="read-only"):
                 shared += 1.0
 
+    def test_equality_and_hash(self):
+        ops = make_spin_operators(HalfInteger(3))
+        same = make_spin_operators(HalfInteger(3))
+        assert (ops == same) is True
+        assert (ops != make_spin_operators(HalfInteger(5))) is True
+        assert hash(ops) == hash(same)
+        assert ops != "ops"
+        table = {ops: "3/2"}
+        assert table[same] == "3/2"
+        assert make_spin_operators(HalfInteger(5)) not in table
+
     def test_rejects_zero_spin(self):
         with pytest.raises(ValueError):
             make_spin_operators(HalfInteger(0))
