@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -79,12 +81,13 @@ def _physical_f_twice(spin: HalfInteger) -> list[tuple[str, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pole_tensors(spin_twice: int) -> dict[str, np.ndarray]:
+def _pole_tensors(spin_twice: int) -> Mapping[str, np.ndarray]:
     """Detuning-independent numerator tensor of each physical hyperfine pole.
 
     The full tensor is the sum over physical levels f of T_f / (delta - e_f);
     T_f collects dipole elements and Clebsch-Gordan factors only, so it is
-    computed once per spin and reused across detuning grids.
+    computed once per spin and reused across detuning grids.  The mapping and
+    its arrays are shared by every caller and read-only.
     """
     spin = HalfInteger(spin_twice)
     dim = spin_twice + 1
@@ -107,24 +110,100 @@ def _pole_tensors(spin_twice: int) -> dict[str, np.ndarray]:
                 i_mf = (tmf + tf) // 2
                 amp[:, i_mf, i_mi] += d_el[:, i_mj] * cg
         out[label] = np.einsum("sfm,qfn->sqmn", amp, amp.conj())
-    return out
+        out[label].setflags(write=False)
+    return MappingProxyType(out)
 
 
-def _pole_sum(spin_twice: int, energies, values: np.ndarray) -> np.ndarray:
-    """Sum over the physical levels f of T_f / (delta_k - e_f), shape (B, 3, 3, N, N).
+@dataclass(frozen=True)
+class _PoleEntries:
+    """The nonzero entries of the pole tensors, as floats of a (3, 3, N, N) complex stack.
 
-    values holds B complex detunings.  The terms are added in the fixed pole
-    order, starting from zeros, so slice k is the tensor at values[k] with the
-    same arithmetic for any B.
+    Every entry of every T_f is purely real, a, or purely imaginary, i b: d_x
+    and d_z are real and d_y is imaginary.  Viewed as 18 N^2 floats (re, im
+    interleaved), such an entry has one nonzero float, v = a or b, and its
+    partner float is zero.  numpy divides by c + i d, for |c| >= |d|, as
+    rat = d / c, scl = 1 / (c + d rat), giving
+
+        a / (c + i d) = a scl - i (a rat) scl,
+        i b / (c + i d) = (b rat) scl + i b scl,
+
+    so the float of v takes v scl and its partner takes (w rat) scl, with
+    w = -a for a real entry and w = b for an imaginary one; for |c| < |d|,
+    rat = c / d and scl = 1 / (d + c rat), and the two swap: v takes
+    (v rat) scl and the partner w scl.  A numerator part that is exactly zero
+    drops out of numpy's (p + q rat) scl without rounding, so these are
+    numpy's bits.
+    """
+
+    labels: tuple[str, ...]    # pole order, as _pole_tensors
+    slots: np.ndarray          # float positions: the union of the nonzero floats, then their partners
+    values: np.ndarray         # (P, 2, M): v and w of pole f, zero where T_f is zero
+
+
+@lru_cache(maxsize=None)
+def _pole_entries(spin_twice: int) -> _PoleEntries:
+    """The pole tensors' nonzero entries, once per spin; read-only.
+
+    An entry's nonzero float is the same part for every pole, since its type
+    follows from (s, q) alone; tests/test_cg_oracle.py checks both that and
+    the purity of every entry for 2i+1 up to 64.
+    """
+    tensors = _pole_tensors(spin_twice)
+    floats = np.stack([t.reshape(-1).view(float) for t in tensors.values()])
+    own = np.flatnonzero((floats != 0.0).any(axis=0))
+    partner = own ^ 1  # re <-> im of the same entry
+    v = floats[:, own]
+    values = np.stack([v, np.where(own % 2 == 0, -v, v)], axis=1)
+    slots = np.concatenate([own, partner])
+    for array in (values, slots):
+        array.setflags(write=False)
+    return _PoleEntries(labels=tuple(tensors), slots=slots, values=values)
+
+
+def _divisors(spin_twice: int, energies, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's factors for dividing by values_k - e_f, every pole f and detuning k.
+
+    numpy divides by c + i d with rat = d / c and scl = 1 / (c + d rat) when
+    |c| >= |d|, and with rat = c / d and scl = 1 / (d + c rat) otherwise.
+    Returns the factors of v and w before scl (see _PoleEntries), (1, rat) or
+    (rat, 1), shape (P, B, 2), and scl, shape (P, B).
     """
     levels = {"lower": energies.e_lower, "mid": energies.e_mid, "upper": energies.e_upper}
+    labels = _pole_entries(spin_twice).labels
+    den = values[None, :] - np.array([levels[label] for label in labels])[:, None]
+    swap = ~(np.abs(den.real) >= np.abs(den.imag))  # as numpy, NaN takes the second branch
+    big = np.where(swap, den.imag, den.real)
+    small = np.where(swap, den.real, den.imag)
+    rat = small / big
+    scl = 1.0 / (big + small * rat)
+    return np.stack([np.where(swap, rat, 1.0), np.where(swap, 1.0, rat)], axis=-1), scl
+
+
+def _pole_sum(spin_twice: int, factors: np.ndarray, scl: np.ndarray) -> np.ndarray:
+    """Sum over the physical levels f of T_f / (delta_k - e_f), shape (B, 3, 3, N, N).
+
+    factors and scl are _divisors of B complex detunings.  Each quotient is
+    numpy's complex division, bit for bit, computed on the nonzero floats of
+    _pole_entries only: (v * factor) * scl for the entry's own float and its
+    partner.  The terms are added in the fixed pole order, starting from
+    zeros, and scattered into a zeroed dense stack, so slice k is the tensor
+    at detuning k with the same arithmetic for any B.  The dense division
+    would also add the quotients of zero entries; they are +-0 and leave a
+    sum that starts from +0 unchanged.  tests/test_cg_oracle.py pins the
+    result to the dense sum by bit pattern.
+    """
+    entries = _pole_entries(spin_twice)
+    count = scl.shape[1]
+    sums = np.zeros((count,) + entries.values.shape[1:])
+    term = np.empty_like(sums)
+    for values, factor, scale in zip(entries.values, factors, scl):
+        np.multiply(values, factor[:, :, None], out=term)
+        term *= scale[:, None, None]
+        sums += term
     dim = spin_twice + 1
-    blocks = np.zeros((len(values), 3, 3, dim, dim), dtype=complex)
-    term = np.empty_like(blocks)
-    for label, tensor in _pole_tensors(spin_twice).items():
-        np.divide(tensor, (values - levels[label])[:, None, None, None, None], out=term)
-        blocks += term
-    return blocks
+    blocks = np.zeros((count, 18 * dim * dim))
+    blocks[:, entries.slots] = sums.reshape(count, -1)
+    return blocks.view(complex).reshape(count, 3, 3, dim, dim)
 
 
 def oracle_d_tensor(spin, gamma: float, delta) -> DTensor:
@@ -133,7 +212,7 @@ def oracle_d_tensor(spin, gamma: float, delta) -> DTensor:
     det = _as_detuning(delta)
     en = hf_energies(spin, gamma)
     _check_poles(det, en)
-    return DTensor(blocks=_pole_sum(spin.twice, en, np.array([det.value]))[0])
+    return DTensor(blocks=_pole_sum(spin.twice, *_divisors(spin.twice, en, np.array([det.value])))[0])
 
 
 def _hs_inner(x_conj: np.ndarray, y: np.ndarray):
@@ -212,32 +291,49 @@ def extract_b_from_d(d: DTensor, ops: SpinOperators) -> tuple[PolarizabilitySet,
     return pset, residual
 
 
-#: Bytes of one (B, 3, 3, N, N) complex tensor stack in oracle_vs_analytic_deviation;
-#: _pole_sum holds two such stacks at a time.
-_ORACLE_BLOCK_BYTES = 256 * 1024
+#: Bytes of one (B, 3, 3, N, N) complex tensor stack in oracle_vs_analytic_deviation,
+#: the one dense array of a stack's build; _pole_sum's two buffers of nonzero
+#: floats take a fifth of it each at N = 10 and a tenth at N = 22.
+_ORACLE_BLOCK_BYTES = 512 * 1024
+
+#: Entries in numpy's fixed iterator buffer.  einsum reduces an operand longer
+#: than this in chunks, and then _project of a stack of B > 1 tensors sums in
+#: another order than of one tensor alone.
+_EINSUM_BUFFER = 8192
 
 
 def _stack_size(dim: int) -> int:
-    """Detunings B per tensor stack at dimension N: as many as fit the budget, at least 1."""
-    return max(1, _ORACLE_BLOCK_BYTES // (9 * dim * dim * np.dtype(complex).itemsize))
+    """Detunings B per tensor stack at dimension N.
+
+    As many as fit _ORACLE_BLOCK_BYTES, at least 1 (36 at N = 10, 7 at
+    N = 22), and 1 once a tensor's 9 N^2 entries exceed _EINSUM_BUFFER, from
+    N = 31: only then does _project give every tensor of a stack the bits it
+    gives that tensor alone.
+    """
+    entries = 9 * dim * dim
+    if entries > _EINSUM_BUFFER:
+        return 1
+    return max(1, _ORACLE_BLOCK_BYTES // (entries * np.dtype(complex).itemsize))
 
 
 def oracle_vs_analytic_deviation(spin, gamma: float, grid, gamma_bar: float = 0.0) -> float:
     """Worst relative disagreement of the closed forms against the CG summation.
 
     grid is an iterable of real dimensionless detunings; every point is
-    evaluated with the complex detuning delta - i*gamma_bar.  A point's
-    deviation is the largest of its three relative coefficient errors, and the
-    result is the Python max over the points starting from 0.0, which skips a
-    NaN point: at i = 1/2 the tensor basis vanishes, b2 is NaN, and the result
-    is 0.0.
+    evaluated with the complex detuning delta - i*gamma_bar.  A non-finite
+    point raises ValueError naming the first one, before anything is
+    evaluated.  A point's deviation is the largest of its three relative
+    coefficient errors, and the result is the Python max over the points
+    starting from 0.0, which skips a NaN point: at i = 1/2 the tensor basis
+    vanishes, b2 is NaN, and the result is 0.0.
 
     The grid is evaluated in blocks, with no numpy call per point: the closed
-    forms come from _b_columns for _BLOCK_ROWS detunings at a time, and the
-    oracle tensors are built and projected in stacks of as many detunings as
-    fit in _ORACLE_BLOCK_BYTES.  Every coefficient equals, bit for bit, what
-    the per-point public route gives (b_coefficients against extract_b_from_d
-    of oracle_d_tensor), so the result equals that route's loop.  Memory is
+    forms and numpy's division factors (_divisors) come for _BLOCK_ROWS
+    detunings at a time, and the oracle tensors are built from the pole
+    tensors' nonzero entries and projected in stacks of _stack_size
+    detunings.  Every coefficient equals, bit for bit, what the per-point
+    public route gives (b_coefficients against extract_b_from_d of
+    oracle_d_tensor), so the result equals that route's loop.  Memory is
     bounded per block, not by the grid size.  At gamma_bar = 0 the first grid
     point within POLE_EPSILON of a level raises PoleProximityError.
     """
@@ -245,6 +341,10 @@ def oracle_vs_analytic_deviation(spin, gamma: float, grid, gamma_bar: float = 0.
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
+    finite = np.isfinite(grid)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ValueError(f"detuning grid point {k} is not finite: {grid[k]}")
     basis = _projection_basis(make_spin_operators(spin))
     ComplexDetuning.of(float(grid[0]), gamma_bar)  # validates gamma_bar for every point
     en = hf_energies(spin, gamma)
@@ -259,8 +359,10 @@ def oracle_vs_analytic_deviation(spin, gamma: float, grid, gamma_bar: float = 0.
         values = delta.astype(complex)
         values.imag = -gamma_bar if gamma_bar != 0.0 else 0.0  # as ComplexDetuning.of
         analytic = np.stack(_b_columns(spin, gamma, delta, gamma_bar), axis=1).view(complex)
+        factors, scl = _divisors(spin.twice, en, values)
         reference = np.concatenate([
-            np.stack(_project(_pole_sum(spin.twice, en, values[k:k + step]), basis), axis=1)
+            np.stack(_project(_pole_sum(spin.twice, factors[:, k:k + step], scl[:, k:k + step]),
+                              basis), axis=1)
             for k in range(0, len(values), step)])
         dev = np.abs(analytic - reference) / np.maximum(np.abs(reference), 1e-300)
         for point in dev.max(axis=1).tolist():

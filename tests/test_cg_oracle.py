@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from nucshift import (
     oracle_d_tensor,
     oracle_vs_analytic_deviation,
 )
-from nucshift.cg_oracle import _pole_tensors, _projection_basis, _stack_size
+from nucshift import cg_oracle
+from nucshift.cg_oracle import (
+    _divisors,
+    _pole_entries,
+    _pole_sum,
+    _pole_tensors,
+    _project,
+    _projection_basis,
+    _stack_size,
+)
 from nucshift.shift_coefficients import _BLOCK_ROWS, POLE_EPSILON, PoleProximityError
 
 LEVIC = np.zeros((3, 3, 3))
@@ -159,6 +169,84 @@ class TestOracleVsAnalytic:
         grid = offpole_grid(spin, 0.0057)
         assert oracle_vs_analytic_deviation(spin, 0.0057, grid, 3e-5) <= 1e-10
 
+    @pytest.mark.parametrize("grid,message", [
+        ([np.nan], "point 0 is not finite: nan"),
+        ([np.inf], "point 0 is not finite: inf"),
+        ([1.0, np.nan], "point 1 is not finite: nan"),
+        ([2.0, -np.inf, np.nan], "point 1 is not finite: -inf"),
+    ], ids=["nan", "inf", "after-a-finite-point", "first-of-two"])
+    @pytest.mark.parametrize("gamma_bar", [0.0, 3e-5], ids=["lossless", "lossy"])
+    def test_non_finite_point_rejected_before_evaluation(self, monkeypatch, grid, message,
+                                                         gamma_bar):
+        def evaluated(*args):
+            raise AssertionError("a grid with a non-finite point was evaluated")
+
+        monkeypatch.setattr(cg_oracle, "_b_columns", evaluated)
+        monkeypatch.setattr(cg_oracle, "_divisors", evaluated)
+        with pytest.raises(ValueError, match=message):
+            oracle_vs_analytic_deviation(HalfInteger(9), 0.0057, grid, gamma_bar)
+
+
+class TestSharedCaches:
+    def test_pole_tensors_and_entries_are_read_only(self):
+        spin = HalfInteger(9)
+        grid = offpole_grid(spin, 0.0057, n=40)
+        before = oracle_vs_analytic_deviation(spin, 0.0057, grid, 3e-5)
+        tensors = _pole_tensors(9)
+        assert isinstance(tensors, MappingProxyType)
+        with pytest.raises(ValueError, match="read-only"):
+            tensors["mid"] *= 1.001
+        with pytest.raises(TypeError):
+            tensors["mid"] = np.zeros_like(tensors["mid"])
+        entries = _pole_entries(9)
+        for array in (entries.values, entries.slots):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert oracle_vs_analytic_deviation(spin, 0.0057, grid, 3e-5) == before
+
+
+class TestSparseDivision:
+    """_pole_sum divides only the nonzero floats of the pole tensors; it must
+    give the bits of numpy's dense complex division summed over the poles."""
+
+    @staticmethod
+    def dense_pole_sum(twice, en, values):
+        levels = {"lower": en.e_lower, "mid": en.e_mid, "upper": en.e_upper}
+        want = np.zeros((len(values), 3, 3, twice + 1, twice + 1), dtype=complex)
+        for label, tensor in _pole_tensors(twice).items():
+            want = want + tensor / (values - levels[label])[:, None, None, None, None]
+        return want
+
+    def test_every_entry_is_real_or_imaginary(self):
+        # d_x, d_z real and d_y imaginary: an entry is purely real for every
+        # pole or purely imaginary for every pole; the build rests on it
+        for twice in range(1, 64):
+            tensors = np.stack(list(_pole_tensors(twice).values()))
+            real = (tensors.real != 0.0).any(axis=0)
+            imaginary = (tensors.imag != 0.0).any(axis=0)
+            assert not (real & imaginary).any(), twice
+
+    @pytest.mark.parametrize("twice", range(1, 64))
+    def test_build_equals_dense_division(self, twice):
+        rng = np.random.default_rng(twice)
+        en = hf_energies(HalfInteger(twice), rng.uniform(-0.01, 0.01))
+        poles = np.array(en.as_tuple())
+        gamma_bar = rng.uniform(1e-6, 0.1)
+        lossless = np.concatenate([rng.uniform(-40.0, 40.0, 6),
+                                   poles + rng.choice([-1.0, 1.0], 3) * rng.uniform(1e-3, 0.3, 3)])
+        lossy = np.concatenate([rng.uniform(-40.0, 40.0, 4),
+                                poles + gamma_bar * rng.uniform(-1.0, 1.0, 3)])
+        second_branch = 0
+        for delta, gb in ((lossless, 0.0), (lossy, gamma_bar)):
+            values = delta.astype(complex)
+            values.imag = -gb if gb != 0.0 else 0.0  # as ComplexDetuning.of
+            den = values[:, None] - poles
+            second_branch += int((np.abs(den.real) < np.abs(den.imag)).sum())
+            got = _pole_sum(twice, *_divisors(twice, en, values))
+            want = self.dense_pole_sum(twice, en, values)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), gb
+        assert second_branch >= 3  # the lossy points within gamma_bar of a pole
+
 
 class TestOracleBitIdentity:
     """The grid path builds and projects blocks of detunings and takes the
@@ -258,6 +346,37 @@ class TestOracleBitIdentity:
         tensor = oracle_d_tensor(HalfInteger(9), 0.0057, 3.0)
         with pytest.raises(ValueError, match="mismatched dimensions"):
             extract_b_from_d(tensor, make_spin_operators(HalfInteger(7)))
+
+
+class TestStackSize:
+    """_stack_size keeps B > 1 only where a stack projects with the bits of its
+    tensors alone: up to N = 30, 9 N^2 <= 8192."""
+
+    @pytest.mark.parametrize("twice", [1, 9, 21, 29, 30, 40])
+    def test_stack_projects_as_its_tensors_alone(self, twice):
+        # einsum reduces a tensor of more than 8192 entries (N >= 31) in
+        # buffered chunks and then sums a stack of B > 1 in another order;
+        # _stack_size keeps B = 1 there
+        spin = HalfInteger(twice)
+        basis = _projection_basis(make_spin_operators(spin))
+        en = hf_energies(spin, 0.0057)
+        size = _stack_size(twice + 1)
+        values = offpole_grid(spin, 0.0057, n=min(size, 64)).astype(complex)
+        values.imag = -4e-5
+        stack = _pole_sum(twice, *_divisors(twice, en, values))
+        with pytest.warns(RuntimeWarning) if twice == 1 else nullcontext():
+            got = np.stack(_project(stack, basis), axis=1)
+            alone = np.concatenate([np.stack(_project(stack[k:k + 1], basis), axis=1)
+                                    for k in range(len(values))])
+        assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+
+    @pytest.mark.parametrize("gamma_bar", [0.0, 4e-5], ids=["lossless", "lossy"])
+    def test_largest_stacked_dimension_keeps_the_grid_bits(self, gamma_bar):
+        spin = HalfInteger(29)
+        assert _stack_size(30) > 1 and _stack_size(31) == 1
+        grid = offpole_grid(spin, 0.0057, lo=-9.0, hi=7.5, n=2 * _stack_size(30) + 1)
+        got = oracle_vs_analytic_deviation(spin, 0.0057, grid, gamma_bar)
+        assert got == TestOracleBitIdentity.point_by_point(spin, 0.0057, grid, gamma_bar)
 
 
 class TestSpinHalfAssembly:
