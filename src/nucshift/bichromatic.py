@@ -9,6 +9,7 @@ shift vanishes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,11 @@ from .shift_coefficients import (
     _BLOCK_ROWS,
     CoeffForm,
     ComplexDetuning,
+    NonFiniteResultError,
     PolarizabilitySet,
+    _Pair,
     _b_columns,
     _check_real_poles,
-    _mul,
     _near_pole,
     b_coefficients,
 )
@@ -62,8 +64,12 @@ def _b_pair(spin, gamma: float, delta_alpha: float, delta_beta: float,
     en = hf_energies(spin, gamma)
     _check_real_poles(delta_alpha, en)
     _check_real_poles(delta_beta, en)
-    return (b_coefficients(spin, gamma, ComplexDetuning.of(delta_alpha, gamma_bar)),
+    pair = (b_coefficients(spin, gamma, ComplexDetuning.of(delta_alpha, gamma_bar)),
             b_coefficients(spin, gamma, ComplexDetuning.of(delta_beta, gamma_bar)))
+    for delta, bset in zip((delta_alpha, delta_beta), pair):
+        if not all(map(cmath.isfinite, (bset.c0, bset.c1, bset.c2))):
+            raise NonFiniteResultError(f"result is not finite at delta_bar = {delta!r}")
+    return pair
 
 
 def _cancelling_weights(b_alpha: PolarizabilitySet,
@@ -123,24 +129,33 @@ def _merit_block(spin, gamma: float, gamma_bar: float,
                  small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Status codes (indices into _MERIT_STATUS) and w_alpha, Re b1, Im b0, ratio columns.
 
-    Row for row this is the scalar path: _b_pair's real-part pole guard on
-    both detunings, _cancelling_weights, _weighted_sum and the ratio, with the
-    same float operations in the same order (complex ones through _mul), so
-    every value is bit-identical.  Rows that are not ok hold nan.
+    Row for row this is the scalar path: _b_pair's real-part pole guard and
+    finiteness check on both detunings, _cancelling_weights, _weighted_sum
+    and the ratio, with the same float operations in the same order (the
+    weighted sums on _Pair, whose operators follow CPython's complex rules),
+    so every value is bit-identical.  Rows that are not ok hold nan.  A row
+    off the poles whose b columns are not all finite at either detuning
+    raises NonFiniteResultError.
     """
     levels = hf_energies(spin, gamma)
     d_alpha = levels.e_mid + small
     d_beta = levels.e_mid - small
     pole = _near_pole(d_alpha, levels) | _near_pole(d_beta, levels)
-    re0a, im0a, re1a, im1a, re2a, _ = _b_columns(spin, gamma, d_alpha, gamma_bar)
-    re0b, im0b, re1b, im1b, re2b, _ = _b_columns(spin, gamma, d_beta, gamma_bar)
+    b_alpha = _b_columns(spin, gamma, d_alpha, gamma_bar)
+    b_beta = _b_columns(spin, gamma, d_beta, gamma_bar)
+    bad = ~pole & ~np.isfinite(np.array(b_alpha + b_beta)).all(axis=0)
+    if bad.any():
+        raise NonFiniteResultError(
+            f"result is not finite at delta_small_bar = {float(small[bad.argmax()])!r}")
+    re0a, im0a, re1a, im1a, re2a, _ = b_alpha
+    re0b, im0b, re1b, im1b, re2b, _ = b_beta
     same_sign = ~pole & ((re2a == 0.0) | (re2b == 0.0) | ((re2a > 0) == (re2b > 0)))
     ok = ~(pole | same_sign)
     with np.errstate(all="ignore"):  # the rows that are not ok are overwritten below
         w_alpha = np.abs(re2b) / (np.abs(re2a) + np.abs(re2b))
         w_beta = 1.0 - w_alpha
-        re_b1 = _mul(w_alpha, 0.0, re1a, im1a)[0] + _mul(w_beta, 0.0, re1b, im1b)[0]
-        im_b0 = _mul(w_alpha, 0.0, re0a, im0a)[1] + _mul(w_beta, 0.0, re0b, im0b)[1]
+        re_b1 = (w_alpha * _Pair(re1a, im1a) + w_beta * _Pair(re1b, im1b)).re
+        im_b0 = (w_alpha * _Pair(re0a, im0a) + w_beta * _Pair(re0b, im0b)).im
         ratio = np.where(im_b0 != 0.0, re_b1 / im_b0,
                          np.where(re_b1 != 0.0, np.copysign(math.inf, re_b1), math.nan))
     columns = np.array([w_alpha, re_b1, im_b0, ratio])

@@ -8,11 +8,14 @@ are byte-deterministic: fixed headers, fixed ordering, floats rendered with 17
 significant digits.
 
 Exit codes: 0 success, 1 oracle-diff threshold failure or I/O error, 2 input
-error (every one, with one JSON line on stderr: non-finite numbers, a
-non-positive beam amplitude or wavenumber, an oracle-diff grid too crowded
-with poles, a grid of more than MAX_GRID_ROWS rows and atom constants that
-overflow included), 3 numeric-domain error (pole proximity, or a non-finite
-result, which is never written out), 4 infeasible tensor cancellation.
+error (every one, with one JSON line on stderr: a command line argparse
+rejects, a config file that is not UTF-8, non-finite numbers, a non-positive
+beam amplitude or wavenumber, an oracle-diff grid too crowded with poles, a
+grid of more than MAX_GRID_ROWS rows and atom constants that overflow
+included), 3 numeric-domain error (pole proximity, or a non-finite result,
+which is never written out: b coefficients off the poles that overflow in a
+scan row, a merit row or a single bichromatic solve, among others), 4
+infeasible tensor cancellation.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .hyperfine import AtomParams, derive_constants, hf_energies
 from .shift_coefficients import (
     _BLOCK_ROWS,
     ComplexDetuning,
+    NonFiniteResultError,
     PoleProximityError,
     _b_columns,
     _near_pole,
@@ -68,10 +72,6 @@ MAX_GRID_ROWS = 1_000_000
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure (CLI exit code 2)."""
-
-
-class NonFiniteResultError(ArithmeticError):
-    """A finite input overflowed to inf or nan inside the computation (CLI exit code 3)."""
 
 
 # A preset is the config keys it fixes; it overrides whatever the file gives for them.
@@ -552,8 +552,15 @@ def _merge_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ConfigError (exit 2 with one JSON line)."""
+
+    def error(self, message):
+        raise ConfigError(f"arguments: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nucshift",
         description="Light-induced effective Hamiltonians for nuclear spins",
     )
@@ -567,12 +574,15 @@ def main(argv=None) -> int:
     parser.add_argument("--scan", action="store_true",
                         help="bichromatic: run the merit scan instead of a single solve")
     parser.add_argument("--out", help="write the data file here instead of stdout")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = parse_config(fh.read())
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
+            config = parse_config(text)
         else:
             config = RunConfig()
         config = _merge_flags(config, args)

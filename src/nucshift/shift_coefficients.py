@@ -23,6 +23,7 @@ imaginary parts is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,10 @@ class PoleProximityError(ValueError):
     """Raised when a lossless evaluation lands within POLE_EPSILON of a hyperfine pole."""
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A finite input overflowed to inf or nan inside the computation (CLI exit code 3)."""
+
+
 class CoeffForm(Enum):
     A_FORM = "a"
     B_FORM = "b"
@@ -46,17 +51,25 @@ class CoeffForm(Enum):
 
 @dataclass(frozen=True)
 class ComplexDetuning:
-    """Detuning with an optional loss part: value = delta_bar - i*gamma_bar."""
+    """Detuning with an optional loss part: value = delta_bar - i*gamma_bar.
+
+    Both parts of value and gamma_bar must be finite, and gamma_bar >= 0.
+    """
 
     value: complex
     gamma_bar: float = 0.0
 
     def __post_init__(self):
+        value = complex(self.value)
+        for name, x in (("gamma_bar", self.gamma_bar), ("Re(value)", value.real),
+                        ("Im(value)", value.imag)):
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if self.gamma_bar < 0:
-            raise ValueError("gamma_bar must be non-negative")
-        if complex(self.value).imag != -self.gamma_bar:
+            raise ValueError(f"gamma_bar must be non-negative, got {self.gamma_bar!r}")
+        if value.imag != -self.gamma_bar:
             raise ValueError("Im(value) must equal -gamma_bar")
-        object.__setattr__(self, "value", complex(self.value))
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def of(cls, delta_bar: float, gamma_bar: float = 0.0) -> "ComplexDetuning":
@@ -137,24 +150,33 @@ def a_coefficients(spin, gamma: float, delta) -> PolarizabilitySet:
     return PolarizabilitySet(form=CoeffForm.A_FORM, c0=a0, c1=a1, c2=a2)
 
 
+def _b_formula(d, e_lo, e_mid, e_up, gamma, ibar2):
+    """The b-form triple (b0, b1, b2) as rational functions of the detuning d.
+
+    The one copy of the closed forms.  It takes any arithmetic that has the
+    operators it uses: Python complex (b_coefficients), _Pair arrays
+    (_b_columns) or exact symbols.  Its literals are ints, so they enter each
+    arithmetic exactly.
+    """
+    e_plus = (e_up + e_mid + e_lo) / 2 - d
+    e_minus = (e_up - e_mid + e_lo) / 2 - d
+    tensor_num = gamma * e_minus - e_mid * e_mid
+    three_pole = (d - e_up) * (d - e_mid) * (d - e_lo)
+
+    b0 = (-3 * e_plus * (d - e_mid) + ibar2 * tensor_num) / (3 * three_pole)
+    b1 = (2 * e_mid * (d - e_mid) + tensor_num) / (2 * three_pole)
+    b2 = tensor_num / (2 * three_pole)
+    return b0, b1, b2
+
+
 def b_coefficients(spin, gamma: float, delta) -> PolarizabilitySet:
     """Symmetric-traceless coefficient triple; equals the exact map of a_coefficients."""
     spin = HalfInteger.coerce(spin)
     det = _as_detuning(delta)
     en = hf_energies(spin, gamma)
     _check_poles(det, en)
-    d = det.value
-    e_lo, e_mid, e_up = en.as_tuple()
     ibar2 = spin.value * (spin.value + 1.0)
-
-    e_plus = (e_up + e_mid + e_lo) / 2.0 - d
-    e_minus = (e_up - e_mid + e_lo) / 2.0 - d
-    tensor_num = gamma * e_minus - e_mid * e_mid
-    three_pole = (d - e_up) * (d - e_mid) * (d - e_lo)
-
-    b0 = (-3.0 * e_plus * (d - e_mid) + ibar2 * tensor_num) / (3.0 * three_pole)
-    b1 = (2.0 * e_mid * (d - e_mid) + tensor_num) / (2.0 * three_pole)
-    b2 = tensor_num / (2.0 * three_pole)
+    b0, b1, b2 = _b_formula(det.value, *en.as_tuple(), gamma, ibar2)
     return PolarizabilitySet(form=CoeffForm.B_FORM, c0=b0, c1=b1, c2=b2)
 
 
@@ -163,39 +185,73 @@ def b_coefficients(spin, gamma: float, delta) -> PolarizabilitySet:
 _BLOCK_ROWS = 2048
 
 
-def _mul(ar, ai, br, bi):
-    """CPython's complex product of (ar + i ai) and (br + i bi), on floats or float64 arrays."""
-    return ar * br - ai * bi, ar * bi + ai * br
+class _Pair:
+    """A complex value as float64 (re, im) parts, with CPython's complex rules.
 
-
-def _div(ar, ai, br, bi):
-    """CPython's complex quotient of (ar + i ai) by (br + i bi), on floats or float64 arrays.
-
-    This is _Py_c_quot step by step: it scales by the larger divisor part
-    and divides by denom (numpy's complex division multiplies by 1/denom, which
-    moves last bits).  A zero divisor, where CPython raises ZeroDivisionError,
-    gives nan.
+    The parts are floats or float64 arrays, so one _Pair holds a column of
+    complex values.  Each operator repeats what CPython up to 3.13 does for
+    complex operands: a real operand x counts as (x, 0.0), so its 0.0
+    imaginary part enters every sum, difference and product, and division is
+    _Py_c_quot step by step (numpy's complex division multiplies by 1/denom,
+    which moves last bits; a zero divisor gives nan where CPython raises
+    ZeroDivisionError).  Only the operators _b_formula and _merit_block use
+    are defined.  __array_ufunc__ = None makes an ndarray operand return
+    NotImplemented, so numpy defers to the reflected operator here.
     """
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio_r = bi / br
-    denom_r = br + bi * ratio_r
-    ratio_i = br / bi
-    denom_i = br * ratio_i + bi
-    # the second branch also covers a nan divisor, where both give nan
-    return (np.where(by_real, (ar + ai * ratio_r) / denom_r, (ar * ratio_i + ai) / denom_i),
-            np.where(by_real, (ai - ar * ratio_r) / denom_r, (ai * ratio_i - ar) / denom_i))
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    @staticmethod
+    def _of(x) -> "_Pair":
+        return x if isinstance(x, _Pair) else _Pair(x, 0.0)
+
+    def __add__(self, other):
+        other = _Pair._of(other)
+        return _Pair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = _Pair._of(other)
+        return _Pair(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _Pair._of(other) - self
+
+    def __mul__(self, other):
+        other = _Pair._of(other)
+        return _Pair(self.re * other.re - self.im * other.im,
+                     self.re * other.im + self.im * other.re)
+
+    def __rmul__(self, other):
+        return _Pair._of(other) * self
+
+    def __truediv__(self, other):
+        # _Py_c_quot: scale by the larger divisor part, then divide by denom
+        other = _Pair._of(other)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        by_real = np.abs(br) >= np.abs(bi)
+        ratio_r = bi / br
+        denom_r = br + bi * ratio_r
+        ratio_i = br / bi
+        denom_i = br * ratio_i + bi
+        # the second branch also covers a nan divisor, where both give nan
+        re = np.where(by_real, (ar + ai * ratio_r) / denom_r, (ar * ratio_i + ai) / denom_i)
+        im = np.where(by_real, (ai - ar * ratio_r) / denom_r, (ai * ratio_i - ar) / denom_i)
+        return _Pair(re, im)
 
 
 def _b_columns(spin, gamma: float, delta_bar, gamma_bar: float) -> tuple[np.ndarray, ...]:
     """b_coefficients over an array of real detunings: Re b0, Im b0, Re b1, Im b1, Re b2, Im b2.
 
     Every value equals, bit for bit, what b_coefficients returns at
-    ComplexDetuning.of(delta_bar[k], gamma_bar).  The kernel evaluates the
-    same expressions in the same order on float64 (re, im) pairs, following
-    CPython's complex rules: a float operand x becomes complex(x, 0.0), so its
-    0.0 imaginary part enters every product, sum and difference, and _div
-    mirrors CPython's division.  These are the mixed-mode rules of CPython up
-    to 3.13; tests/test_array_kernel.py asserts the equality and fails if an
+    ComplexDetuning.of(delta_bar[k], gamma_bar): both evaluate _b_formula,
+    here on a _Pair of the detunings, whose operators follow CPython's
+    complex rules.  These are the mixed-mode rules of CPython up to 3.13;
+    tests/test_array_kernel.py asserts the equality and fails if an
     interpreter changes them.
 
     There is no pole guard: rows on a pole hold whatever the formulas give,
@@ -203,26 +259,12 @@ def _b_columns(spin, gamma: float, delta_bar, gamma_bar: float) -> tuple[np.ndar
     """
     spin = HalfInteger.coerce(spin)
     en = hf_energies(spin, gamma)
-    e_lo, e_mid, e_up = en.as_tuple()
     ibar2 = spin.value * (spin.value + 1.0)
-    dr = np.asarray(delta_bar, dtype=float)
-    di = -gamma_bar if gamma_bar != 0.0 else 0.0  # Im of ComplexDetuning.of
+    d = _Pair(np.asarray(delta_bar, dtype=float),
+              -gamma_bar if gamma_bar != 0.0 else 0.0)  # Im of ComplexDetuning.of
     with np.errstate(all="ignore"):  # overflow and pole rows stay silent, as in the scalar path
-        e_plus = ((e_up + e_mid + e_lo) / 2.0 - dr, 0.0 - di)
-        e_minus = ((e_up - e_mid + e_lo) / 2.0 - dr, 0.0 - di)
-        g_re, g_im = _mul(gamma, 0.0, *e_minus)
-        tensor_num = (g_re - e_mid * e_mid, g_im - 0.0)
-        d_mid = (dr - e_mid, di - 0.0)
-        three_pole = _mul(*_mul(dr - e_up, di - 0.0, *d_mid), dr - e_lo, di - 0.0)
-
-        s_re, s_im = _mul(*_mul(-3.0, 0.0, *e_plus), *d_mid)
-        t_re, t_im = _mul(ibar2, 0.0, *tensor_num)
-        b0 = _div(s_re + t_re, s_im + t_im, *_mul(3.0, 0.0, *three_pole))
-        two_three_pole = _mul(2.0, 0.0, *three_pole)
-        v_re, v_im = _mul(2.0 * e_mid, 0.0, *d_mid)
-        b1 = _div(v_re + tensor_num[0], v_im + tensor_num[1], *two_three_pole)
-        b2 = _div(*tensor_num, *two_three_pole)
-    return (*b0, *b1, *b2)
+        b0, b1, b2 = _b_formula(d, *en.as_tuple(), gamma, ibar2)
+    return b0.re, b0.im, b1.re, b1.im, b2.re, b2.im
 
 
 def to_b_form(aset: PolarizabilitySet, spin) -> PolarizabilitySet:

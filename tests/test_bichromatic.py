@@ -8,6 +8,7 @@ from nucshift import (
     CancellationInfeasibleError,
     ComplexDetuning,
     HalfInteger,
+    NonFiniteResultError,
     PoleProximityError,
     assemble_heff,
     b_coefficients,
@@ -82,6 +83,11 @@ class TestSolveCancellation:
     def test_same_sign_rejected(self):
         with pytest.raises(CancellationInfeasibleError):
             solve_tensor_cancellation(5.5, 6.0, SPIN92, GAMMA)
+
+    @pytest.mark.parametrize("delta_alpha, delta_beta", [(1e200, 1.0), (1.0, -1e200)])
+    def test_non_finite_b_set_raises(self, delta_alpha, delta_beta):
+        with pytest.raises(NonFiniteResultError):
+            solve_tensor_cancellation(delta_alpha, delta_beta, SPIN92, GAMMA)
 
     def test_reference_configuration(self):
         e_mid = hf_energies(SPIN92, GAMMA).e_mid
@@ -205,6 +211,11 @@ class TestMeritScan:
         # nan <= 0 is False, so a sign test alone let these through as same-sign rows
         with pytest.raises(ValueError, match="positive and finite"):
             merit_scan(SPIN92, GAMMA, 3e-5, grid)
+
+    def test_non_finite_b_columns_raise(self):
+        # at gamma_bar = 1e200 every Re b2 is nan; (nan > 0) == (nan > 0) must not read as same-sign
+        with pytest.raises(NonFiniteResultError, match="delta_small_bar = 0.5"):
+            merit_scan(SPIN92, GAMMA, 1e200, [0.5, 1.0])
 
     def test_local_optimum_location(self):
         rows = merit_scan(SPIN92, GAMMA, 3e-5, np.linspace(0.5, 5.0, 91))

@@ -358,7 +358,12 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("name,body", [
         ("scan", "spin_twice = 9\ngamma = 1e300\ndelta_min = 1\ndelta_max = 3\nsteps = 3\n"),
         ("rephasing", "delta_rad_per_s = 1e-320\n"),
-    ], ids=["scan-overflow-row", "rephasing-length-inf"])
+        # Re b2 is nan at every detuning, so no row may be read as same-sign
+        ("bichromatic", "atom = sr87\nscan = true\ngamma_bar = 1e200\n"),
+        # the b set at 1e200 is nan, so no weights may be solved from it
+        ("bichromatic", "atom = sr87\ndelta_alpha = 1e200\ndelta_beta = 1\n"),
+    ], ids=["scan-overflow-row", "rephasing-length-inf", "merit-overflow-row",
+            "solve-overflow-detuning"])
     def test_non_finite_data_file_is_3(self, name, body, capsys, tmp_path):
         out = tmp_path / "out.dat"
         path = tmp_path / "overflow.cfg"
@@ -412,6 +417,10 @@ class TestMainExitCodes:
         ("coeffs", "spin_twice = 1\ngamma = 0.01\ndelta_bar = 2\n", []),
         ("coeffs", "spin_twice = 1\nahf_prime_khz_over_2pi = 1000\ngamma = 0.01\n"
                    "delta_bar = 2\n", []),
+        # argparse's own usage errors
+        ("coeffs", "atom = sr87\n", ["--delta-bar", "abc"]),
+        ("frobnicate", "atom = sr87\ndelta_bar = 2\n", []),
+        ("coeffs", "atom = sr87\ndelta_bar = 2\n", ["--frobnicate"]),
     ]
 
     INPUT_ERROR_IDS = ["delta-bar-nan", "delta-bar-inf", "gamma-bar-nan", "delta-min-inf",
@@ -420,7 +429,8 @@ class TestMainExitCodes:
                        "heff-dimension-cap", "oracle-dimension-cap", "amplitude-negative",
                        "wavenumber-zero", "oracle-grid-crowded", "ahf-overflows",
                        "spin-twice-huge", "scan-grid-cap", "oracle-grid-cap",
-                       "merit-grid-cap", "spin-half-gamma", "spin-half-constants-gamma"]
+                       "merit-grid-cap", "spin-half-gamma", "spin-half-constants-gamma",
+                       "flag-not-a-number", "unknown-subcommand", "unknown-flag"]
 
     @pytest.mark.parametrize("name,body,flags", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
     def test_input_errors_exit_2_with_one_json_line(self, name, body, flags, capsys, tmp_path):
@@ -446,6 +456,25 @@ class TestMainExitCodes:
         assert main(["rephasing", "--atom", "sr87", "--delta-bar", "3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("rephasing_length_m = 0.0957")
+
+    def test_config_not_utf8_is_2(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        path = tmp_path / "latin1.cfg"
+        body = f"out = {out}\natom = sr87\ndelta_bar = 2\n# d\xe9tuning\n"
+        path.write_bytes(body.encode("latin-1"))  # \xe9 alone is no UTF-8 sequence
+        assert main(["coeffs", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nucshift")
 
     def test_missing_config_file(self, capsys):
         assert main(["scan", "--config", "/nonexistent/x.cfg"]) == 1

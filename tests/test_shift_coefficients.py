@@ -19,6 +19,7 @@ from nucshift import (
     make_spin_operators,
     offpole_grid,
     oracle_d_tensor,
+    oracle_vs_analytic_deviation,
     physical_b,
     to_b_form,
 )
@@ -27,21 +28,28 @@ TWO_PI = 2.0 * math.pi
 SPIN92 = HalfInteger(9)
 
 
-def direct_a_forms(spin, gamma, d):
+def solved_a_forms(d, e_lo, e_mid, e_up, gamma, ibar2):
     """The solved-linear-system form of the a coefficients, written independently.
 
     a0 = (d + 1 - g(i(i+1)+1)) / [(d-e+)(d-e-)]
     a1 = -(1-g) / [(d-e+)(d-e-)]
     a2 = -[1 + g(d-2) - g^2(i(i+1)-1)] / [(d-e+)(d-em)(d-e-)]
+
+    Its literals are ints, so it evaluates on floats and exactly on symbols.
     """
-    en = hf_energies(spin, gamma)
+    two = (d - e_up) * (d - e_lo)
+    three = two * (d - e_mid)
+    a0 = (d + 1 - gamma * (ibar2 + 1)) / two
+    a1 = -(1 - gamma) / two
+    a2 = -(1 + gamma * (d - 2) - gamma**2 * (ibar2 - 1)) / three
+    return a0, a1, a2
+
+
+def direct_a_forms(spin, gamma, d):
+    """solved_a_forms at the levels of hf_energies."""
     ibar2 = spin.value * (spin.value + 1.0)
-    two = (d - en.e_upper) * (d - en.e_lower)
-    three = two * (d - en.e_mid)
-    a0 = (d + 1.0 - gamma * (ibar2 + 1.0)) / two
-    a1 = -(1.0 - gamma) / two
-    a2 = -(1.0 + gamma * (d - 2.0) - gamma**2 * (ibar2 - 1.0)) / three
-    return np.array([a0, a1, a2], dtype=complex)
+    return np.array(solved_a_forms(d, *hf_energies(spin, gamma).as_tuple(), gamma, ibar2),
+                    dtype=complex)
 
 
 class TestComplexDetuning:
@@ -58,6 +66,28 @@ class TestComplexDetuning:
     def test_rejects_inconsistent_imaginary_part(self):
         with pytest.raises(ValueError):
             ComplexDetuning(value=complex(1.0, -2e-5), gamma_bar=3e-5)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ComplexDetuning.of(1.0, math.nan), "gamma_bar must be finite, got nan"),
+        (lambda: ComplexDetuning.of(1.0, math.inf), "gamma_bar must be finite, got inf"),
+        (lambda: ComplexDetuning.of(math.nan), "Re(value) must be finite, got nan"),
+        (lambda: ComplexDetuning.of(-math.inf, 1e-3), "Re(value) must be finite, got -inf"),
+        (lambda: ComplexDetuning(complex(1.0, math.nan)), "Im(value) must be finite, got nan"),
+        (lambda: ComplexDetuning(complex(1.0, -math.inf), math.inf),
+         "gamma_bar must be finite, got inf"),
+        (lambda: ComplexDetuning.of(1.0, -1e-6), "gamma_bar must be non-negative, got -1e-06"),
+        (lambda: b_coefficients(SPIN92, 0.0, math.nan), "Re(value) must be finite, got nan"),
+        (lambda: a_coefficients(SPIN92, 0.0, math.inf), "Re(value) must be finite, got inf"),
+        (lambda: oracle_d_tensor(SPIN92, 0.0, math.nan), "Re(value) must be finite, got nan"),
+        (lambda: oracle_vs_analytic_deviation(SPIN92, 0.0, [1.0], math.inf),
+         "gamma_bar must be finite, got inf"),
+        (lambda: oracle_vs_analytic_deviation(SPIN92, 0.0, [1.0], math.nan),
+         "gamma_bar must be finite, got nan"),
+    ])
+    def test_rejects_non_finite_input(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestACoefficients:
